@@ -75,8 +75,11 @@ pub fn is_test_path(path: &str) -> bool {
 /// unsorted map iteration becomes nondeterministic *bytes* — the wire
 /// format, the fit-cache artifact, eval JSON/tables, /metrics
 /// rendering, the response cache / evidence store (whose eviction scan
-/// order decides which stored bytes survive), and the interchange
-/// (`to_parts`/`idf_parts`) layers that feed the artifact encoder.
+/// order decides which stored bytes survive), the interchange
+/// (`to_parts`/`idf_parts`) layers that feed the artifact encoder, and
+/// the CKY chart and grammar tables (the order candidates are visited in
+/// decides exact-score ties, which pick the parse tree and so reach the
+/// evidence bytes).
 pub fn det001_in_scope(path: &str) -> bool {
     const SCOPE: &[&str] = &[
         "crates/serve/src/wire.rs",
@@ -89,6 +92,8 @@ pub fn det001_in_scope(path: &str) -> bool {
         "crates/eval/src/experiments.rs",
         "crates/lm/src/lib.rs",
         "crates/qa/src/model.rs",
+        "crates/parser/src/cky.rs",
+        "crates/parser/src/grammar.rs",
     ];
     SCOPE.contains(&path)
 }
@@ -146,6 +151,8 @@ mod tests {
 
         assert!(det001_in_scope("crates/serve/src/wire.rs"));
         assert!(det001_in_scope("crates/store/src/lib.rs"));
+        assert!(det001_in_scope("crates/parser/src/cky.rs"));
+        assert!(det001_in_scope("crates/parser/src/grammar.rs"));
         assert!(!det001_in_scope("crates/serve/src/batch.rs"));
 
         assert!(det002_in_scope("crates/nn/src/attention.rs"));

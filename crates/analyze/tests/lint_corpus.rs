@@ -68,6 +68,38 @@ const CORPUS: &[Case] = &[
                    }\n",
     },
     Case {
+        // Third DET001 site: the CKY chart. Which of two exactly tied
+        // candidates a cell keeps picks the parse tree, and the tree
+        // reaches the evidence bytes, so cells are walked in slot order.
+        lint: "DET001",
+        path: "crates/parser/src/cky.rs",
+        positive: "use std::collections::HashMap;\n\
+                   fn goal(cell: &HashMap<u8, f64>) -> Option<u8> {\n\
+                       let mut best: Option<(u8, f64)> = None;\n\
+                       for (sym, score) in cell.iter() {\n\
+                           if best.map_or(true, |(_, b)| *score >= b) {\n\
+                               best = Some((*sym, *score));\n\
+                           }\n\
+                       }\n\
+                       best.map(|(sym, _)| sym)\n\
+                   }\n",
+        negative: "struct Cell { score: [f64; 18], mask: u32 }\n\
+                   fn goal(cell: &Cell) -> Option<usize> {\n\
+                       // occupied slots in ascending mask order: ties\n\
+                       // always go to the highest symbol.\n\
+                       let mut best: Option<usize> = None;\n\
+                       let mut mask = cell.mask;\n\
+                       while mask != 0 {\n\
+                           let s = mask.trailing_zeros() as usize;\n\
+                           mask &= mask - 1;\n\
+                           if best.map_or(true, |b| cell.score[s] >= cell.score[b]) {\n\
+                               best = Some(s);\n\
+                           }\n\
+                       }\n\
+                       best\n\
+                   }\n",
+    },
+    Case {
         lint: "DET002",
         path: "crates/nn/src/embedding.rs",
         positive: "fn dot(a: &[f32], b: &[f32]) -> f32 {\n\

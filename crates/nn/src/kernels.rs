@@ -24,7 +24,10 @@
 //! same bits — and eight lanes is exactly one 8-wide AVX2 register, so
 //! the fast path holds the accumulators in a single `ymm` (detected at
 //! runtime; every other machine takes the portable loop with the same
-//! lane assignment).
+//! lane assignment). The fast path also combines the lanes in the
+//! register: `hadd` pairs `l0+l1 … l6+l7`, a second `hadd` forms both
+//! quads, and one add joins the 128-bit halves — the same three levels
+//! of the same tree, so no lane is spilled to memory to be summed.
 //!
 //! The transcendental in the softmax chain is pinned the same way:
 //! [`exp_det`] is a polynomial `exp` built from pure f32 arithmetic, so
@@ -71,7 +74,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// AVX2+FMA dot: the eight lanes live in one `ymm`; `vfmadd` rounds each
 /// lane exactly like scalar `f32::mul_add` (both are the exactly-rounded
 /// IEEE fma), so the bits match the portable loop — the parity suite
-/// asserts it against [`crate::reference::dot`].
+/// asserts it against [`crate::reference::dot`]. The remainder and the
+/// final tree never leave the register (see [`fma_tail`], [`tree1`]).
 ///
 /// # Safety
 ///
@@ -83,12 +87,11 @@ unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
     use std::arch::x86_64::*;
     let k = a.len();
     let whole = k - k % LANES;
-    let mut lanes = [0.0f32; LANES];
     let mut acc = _mm256_setzero_ps();
     let mut i = 0;
     // SAFETY: every load reads 8 floats at `i..i+8 <= whole <= len` of
-    // both slices (lengths equal per the contract); the store writes the
-    // 8-float `lanes` array.
+    // both slices (lengths equal per the contract); the tail reads the
+    // `k - whole` floats left in each.
     unsafe {
         while i < whole {
             let x = _mm256_loadu_ps(a.as_ptr().add(i));
@@ -96,12 +99,95 @@ unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
             acc = _mm256_fmadd_ps(x, y, acc);
             i += LANES;
         }
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        if whole < k {
+            let mask = tail_mask(k - whole);
+            let x = _mm256_maskload_ps(a.as_ptr().add(whole), mask);
+            acc = fma_tail(acc, x, b.as_ptr().add(whole), mask);
+        }
     }
-    for (l, kk) in (whole..k).enumerate() {
-        lanes[l] = a[kk].mul_add(b[kk], lanes[l]);
-    }
-    reduce_lanes(&lanes)
+    tree1(acc)
+}
+
+/// Lane mask selecting lanes `0..rem` (`rem < 8`): the remainder lanes
+/// of a reduction whose length is not a multiple of eight.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn tail_mask(rem: usize) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(rem as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// Accumulate the remainder `x[l]·row[l]` into lanes `l` under `mask`,
+/// leaving the other lanes' bits untouched (a blend, not `fma(0, 0, l)`,
+/// which would turn a `-0.0` lane into `+0.0`).
+///
+/// # Safety
+///
+/// The caller must have verified avx2+fma support, and `row` must be
+/// readable for every lane `mask` selects.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn fma_tail(
+    acc: std::arch::x86_64::__m256,
+    x: std::arch::x86_64::__m256,
+    row: *const f32,
+    mask: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    // SAFETY: `maskload` touches only the lanes `mask` selects, which the
+    // caller guarantees are readable.
+    let y = unsafe { _mm256_maskload_ps(row, mask) };
+    _mm256_blendv_ps(acc, _mm256_fmadd_ps(x, y, acc), _mm256_castsi256_ps(mask))
+}
+
+/// [`reduce_lanes`] of one `ymm` without leaving registers: two `hadd`s
+/// leave `(l0+l1)+(l2+l3)` in the low half and `(l4+l5)+(l6+l7)` in the
+/// high half, and one add joins them — the fixed tree, operation for
+/// operation.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn tree1(v: std::arch::x86_64::__m256) -> f32 {
+    use std::arch::x86_64::*;
+    let h = _mm256_hadd_ps(v, v);
+    let q = _mm256_hadd_ps(h, h);
+    _mm_cvtss_f32(_mm_add_ps(
+        _mm256_castps256_ps128(q),
+        _mm256_extractf128_ps::<1>(q),
+    ))
+}
+
+/// Four [`reduce_lanes`] trees at once: lane `t` of the result is the
+/// tree of `v[t]`. The nested `hadd`s put `(l0+l1)+(l2+l3)` of every
+/// input in the low half and `(l4+l5)+(l6+l7)` in the high half.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn tree4(v: [std::arch::x86_64::__m256; 4]) -> std::arch::x86_64::__m128 {
+    use std::arch::x86_64::*;
+    let q = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]), _mm256_hadd_ps(v[2], v[3]));
+    _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q))
+}
+
+/// Eight [`reduce_lanes`] trees at once: lane `t` of the result is the
+/// tree of `v[t]` — two [`tree4`] halves whose low and high quarters are
+/// regrouped by `permute2f128` before the final add.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn tree8(v: [std::arch::x86_64::__m256; 8]) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let a = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]), _mm256_hadd_ps(v[2], v[3]));
+    let b = _mm256_hadd_ps(_mm256_hadd_ps(v[4], v[5]), _mm256_hadd_ps(v[6], v[7]));
+    _mm256_add_ps(
+        _mm256_permute2f128_ps::<0x20>(a, b),
+        _mm256_permute2f128_ps::<0x31>(a, b),
+    )
 }
 
 /// Register-tiled micro-kernel: four dot products of `a` against four
@@ -162,15 +248,15 @@ unsafe fn dot4_fma(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
     use std::arch::x86_64::*;
     let k = a.len();
     let whole = k - k % LANES;
-    let mut acc = [[0.0f32; LANES]; 4];
     let mut v0 = _mm256_setzero_ps();
     let mut v1 = _mm256_setzero_ps();
     let mut v2 = _mm256_setzero_ps();
     let mut v3 = _mm256_setzero_ps();
     let mut i = 0;
+    let mut out = [0.0f32; 4];
     // SAFETY: row lengths equal `len` per the contract, so every load
-    // reads 8 floats at `i..i+8 <= whole <= len`; the stores write the
-    // 8-float rows of `acc`.
+    // reads 8 floats at `i..i+8 <= whole <= len` and the tail reads the
+    // `k - whole` floats left in each row; the store writes `out`.
     unsafe {
         while i < whole {
             let x = _mm256_loadu_ps(a.as_ptr().add(i));
@@ -180,23 +266,17 @@ unsafe fn dot4_fma(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
             v3 = _mm256_fmadd_ps(x, _mm256_loadu_ps(b[3].as_ptr().add(i)), v3);
             i += LANES;
         }
-        _mm256_storeu_ps(acc[0].as_mut_ptr(), v0);
-        _mm256_storeu_ps(acc[1].as_mut_ptr(), v1);
-        _mm256_storeu_ps(acc[2].as_mut_ptr(), v2);
-        _mm256_storeu_ps(acc[3].as_mut_ptr(), v3);
-    }
-    for kk in whole..k {
-        let l = kk - whole;
-        for (t, acc_t) in acc.iter_mut().enumerate() {
-            acc_t[l] = a[kk].mul_add(b[t][kk], acc_t[l]);
+        if whole < k {
+            let mask = tail_mask(k - whole);
+            let x = _mm256_maskload_ps(a.as_ptr().add(whole), mask);
+            v0 = fma_tail(v0, x, b[0].as_ptr().add(whole), mask);
+            v1 = fma_tail(v1, x, b[1].as_ptr().add(whole), mask);
+            v2 = fma_tail(v2, x, b[2].as_ptr().add(whole), mask);
+            v3 = fma_tail(v3, x, b[3].as_ptr().add(whole), mask);
         }
+        _mm_storeu_ps(out.as_mut_ptr(), tree4([v0, v1, v2, v3]));
     }
-    [
-        reduce_lanes(&acc[0]),
-        reduce_lanes(&acc[1]),
-        reduce_lanes(&acc[2]),
-        reduce_lanes(&acc[3]),
-    ]
+    out
 }
 
 /// Row-batched macro-kernel: the canonical [`dot`] of `a` against every
@@ -228,7 +308,8 @@ pub fn dot_rows(a: &[f32], rows: &[f32], out: &mut [f32]) {
 /// AVX2+FMA row batch: eight independent `vfmadd` chains per tile (the
 /// fma unit needs ~8 chains in flight to cover its latency×throughput
 /// window), named accumulators and hoisted row pointers so everything
-/// stays in registers, tails through [`dot4_fma`] / [`dot_fma`].
+/// stays in registers — the remainder lanes and all eight trees too
+/// ([`fma_tail`], [`tree8`]) — tails through [`dot4_fma`] / [`dot_fma`].
 ///
 /// # Safety
 ///
@@ -245,8 +326,9 @@ unsafe fn dot_rows_fma(a: &[f32], rows: &[f32], out: &mut [f32]) {
     let mut j = 0;
     while j + 8 <= n {
         // SAFETY: `rows.len() == k·n` per the contract, so rows `j..j+8`
-        // span `rows[j·k..(j+8)·k]`; chunk loads stop at `whole` and the
-        // scalar tail dereferences stay below `k`.
+        // span `rows[j·k..(j+8)·k]`; chunk loads stop at `whole`, the
+        // masked tail reads stay below `k`, and the store writes
+        // `out[j..j+8]` (`j + 8 <= n`).
         unsafe {
             let p0 = rows.as_ptr().add(j * k);
             let p1 = p0.add(k);
@@ -277,25 +359,22 @@ unsafe fn dot_rows_fma(a: &[f32], rows: &[f32], out: &mut [f32]) {
                 v7 = _mm256_fmadd_ps(x, _mm256_loadu_ps(p7.add(i)), v7);
                 i += LANES;
             }
-            let mut acc = [[0.0f32; LANES]; 8];
-            _mm256_storeu_ps(acc[0].as_mut_ptr(), v0);
-            _mm256_storeu_ps(acc[1].as_mut_ptr(), v1);
-            _mm256_storeu_ps(acc[2].as_mut_ptr(), v2);
-            _mm256_storeu_ps(acc[3].as_mut_ptr(), v3);
-            _mm256_storeu_ps(acc[4].as_mut_ptr(), v4);
-            _mm256_storeu_ps(acc[5].as_mut_ptr(), v5);
-            _mm256_storeu_ps(acc[6].as_mut_ptr(), v6);
-            _mm256_storeu_ps(acc[7].as_mut_ptr(), v7);
-            let ps = [p0, p1, p2, p3, p4, p5, p6, p7];
-            for kk in whole..k {
-                let l = kk - whole;
-                for (t, acc_t) in acc.iter_mut().enumerate() {
-                    acc_t[l] = (*ap.add(kk)).mul_add(*ps[t].add(kk), acc_t[l]);
-                }
+            if whole < k {
+                let mask = tail_mask(k - whole);
+                let x = _mm256_maskload_ps(ap.add(whole), mask);
+                v0 = fma_tail(v0, x, p0.add(whole), mask);
+                v1 = fma_tail(v1, x, p1.add(whole), mask);
+                v2 = fma_tail(v2, x, p2.add(whole), mask);
+                v3 = fma_tail(v3, x, p3.add(whole), mask);
+                v4 = fma_tail(v4, x, p4.add(whole), mask);
+                v5 = fma_tail(v5, x, p5.add(whole), mask);
+                v6 = fma_tail(v6, x, p6.add(whole), mask);
+                v7 = fma_tail(v7, x, p7.add(whole), mask);
             }
-            for (t, acc_t) in acc.iter().enumerate() {
-                out[j + t] = reduce_lanes(acc_t);
-            }
+            _mm256_storeu_ps(
+                out.as_mut_ptr().add(j),
+                tree8([v0, v1, v2, v3, v4, v5, v6, v7]),
+            );
         }
         j += 8;
     }
@@ -562,6 +641,25 @@ mod tests {
         dot_rows(&[], &[], &mut z);
         assert!(z.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
         dot_rows(&a, &[], &mut []);
+    }
+
+    #[test]
+    fn remainder_leaves_other_lanes_bits_alone() {
+        // Every product underflows to -0.0, so every lane is -0.0 and the
+        // tree sums to -0.0. The remainder (K = 9, 13, 15) must not touch
+        // lanes past it: `fma(0, 0, -0.0)` would flip them to +0.0.
+        for k in [9, 13, 15] {
+            let a = vec![-1e-30f32; k];
+            let b = vec![1e-30f32; k];
+            let want = (-0.0f32).to_bits();
+            assert_eq!(dot(&a, &b).to_bits(), want, "dot K={k}");
+            let four = dot4(&a, [&b, &b, &b, &b]);
+            assert!(four.iter().all(|v| v.to_bits() == want), "dot4 K={k}");
+            let rows: Vec<f32> = b.iter().copied().cycle().take(13 * k).collect();
+            let mut out = vec![1.0f32; 13];
+            dot_rows(&a, &rows, &mut out);
+            assert!(out.iter().all(|v| v.to_bits() == want), "dot_rows K={k}");
+        }
     }
 
     #[test]

@@ -6,28 +6,144 @@
 //! from the grammar and re-attached afterwards, and out-of-grammar or
 //! over-long inputs fall back to a right-branching tree rather than
 //! failing (GCED must distill *something* for every context).
+//!
+//! The chart is dense: a cell holds one `f64` score and one packed
+//! back-pointer per grammar symbol (18 slots) plus a `u32` occupancy
+//! mask, and the whole triangle is one flat allocation per parse.
+//! Candidates are tried split by split, left symbols in ascending slot
+//! order, right symbols in ascending slot order, rules in grammar order;
+//! a candidate replaces a slot only when it scores strictly higher.
+//! Exact-score ties therefore go to the first candidate in `Symbol`
+//! order — the same rule as the ordered-map oracle in
+//! [`mod@reference`], which the parser's property tests hold it to.
 
 use crate::cache::{ParseCache, ParseCacheStats};
 use crate::dep::DepTree;
-use crate::grammar::{Grammar, HeadSide, Symbol};
+use crate::grammar::{Grammar, HeadSide, Symbol, SYMBOL_COUNT};
 use crate::tree::{ConstNode, ConstTree};
 use gced_text::{Pos, Token};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Back-pointer for chart entries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Back {
+/// Packed chart back-pointer: the low two bits are the kind
+/// (`TERM`/`UNARY`/`LEFT_HEAD`/`RIGHT_HEAD`), then two 5-bit symbol
+/// slots (unary child; binary left and right child), then the binary
+/// split as an offset from the cell's start.
+#[derive(Debug, Clone, Copy)]
+struct Back(u32);
+
+/// A decoded [`Back`].
+enum Step {
     /// Preterminal over one token.
     Term,
     /// Unary rewrite from another symbol in the same cell.
     Unary(Symbol),
-    /// Binary combination: split point, child symbols, head side.
+    /// Binary combination: left width, child symbols, head side.
     Binary(usize, Symbol, Symbol, HeadSide),
 }
 
-/// One chart cell: best (log-prob, back-pointer) per symbol.
-type Cell = HashMap<Symbol, (f64, Back)>;
+impl Back {
+    const TERM: Back = Back(0);
+    const UNARY: u32 = 1;
+    const LEFT_HEAD: u32 = 2;
+    const RIGHT_HEAD: u32 = 3;
+
+    fn unary(child: usize) -> Back {
+        Back(Self::UNARY | (child as u32) << 2)
+    }
+
+    fn binary(left_width: usize, left: usize, right: usize, head: HeadSide) -> Back {
+        let kind = match head {
+            HeadSide::Left => Self::LEFT_HEAD,
+            HeadSide::Right => Self::RIGHT_HEAD,
+        };
+        Back(kind | (left as u32) << 2 | (right as u32) << 7 | (left_width as u32) << 12)
+    }
+
+    fn step(self) -> Step {
+        let slot = |shift: u32| Symbol::ALL[(self.0 >> shift & 0x1f) as usize];
+        match self.0 & 3 {
+            0 => Step::Term,
+            Self::UNARY => Step::Unary(slot(2)),
+            kind => Step::Binary(
+                (self.0 >> 12) as usize,
+                slot(2),
+                slot(7),
+                if kind == Self::LEFT_HEAD {
+                    HeadSide::Left
+                } else {
+                    HeadSide::Right
+                },
+            ),
+        }
+    }
+}
+
+/// One dense chart cell: slot `s.index()` holds symbol `s`'s best score
+/// and back-pointer when bit `s.index()` of `mask` is set.
+#[derive(Clone, Copy)]
+struct Cell {
+    score: [f64; SYMBOL_COUNT],
+    back: [Back; SYMBOL_COUNT],
+    mask: u32,
+}
+
+impl Cell {
+    const EMPTY: Cell = Cell {
+        score: [0.0; SYMBOL_COUNT],
+        back: [Back::TERM; SYMBOL_COUNT],
+        mask: 0,
+    };
+
+    /// Keep `(score, back)` for `slot` unless the slot already holds a
+    /// score at least as high. True when the slot changed.
+    #[inline]
+    fn offer(&mut self, slot: usize, score: f64, back: Back) -> bool {
+        let bit = 1 << slot;
+        if self.mask & bit != 0 && self.score[slot] >= score {
+            return false;
+        }
+        self.score[slot] = score;
+        self.back[slot] = back;
+        self.mask |= bit;
+        true
+    }
+}
+
+/// Set bits of `mask`, lowest first.
+#[inline]
+fn slots(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let slot = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            slot
+        })
+    })
+}
+
+/// The CKY triangle in one allocation, width-major: every width-1 cell,
+/// then every width-2 cell, and so on — the order CKY completes them, so
+/// cells are pushed as they are finished and never pre-initialized.
+struct Chart {
+    n: usize,
+    cells: Vec<Cell>,
+}
+
+impl Chart {
+    fn new(n: usize) -> Chart {
+        Chart {
+            n,
+            cells: Vec::with_capacity(n * (n + 1) / 2),
+        }
+    }
+
+    /// The cell spanning `width` tokens from `start`.
+    #[inline]
+    fn cell(&self, start: usize, width: usize) -> &Cell {
+        let w = width - 1;
+        &self.cells[w * self.n - w * w.saturating_sub(1) / 2 + start]
+    }
+}
 
 /// A CKY parser over a fixed grammar.
 #[derive(Debug, Clone)]
@@ -97,63 +213,57 @@ impl CkyParser {
         if n == 0 || n > self.max_len {
             return None;
         }
-        // chart[i][j] spans tokens i..=i+j (j = width-1).
-        let mut chart: Vec<Vec<Cell>> = vec![vec![Cell::new(); n]; n];
-        for (i, &pos) in tags.iter().enumerate() {
-            let mut cell = Cell::new();
-            for r in self.grammar.rules_for_pos(pos) {
-                let lp = r.prob.ln();
-                match cell.get(&r.lhs) {
-                    Some(&(best, _)) if best >= lp => {}
-                    _ => {
-                        cell.insert(r.lhs, (lp, Back::Term));
-                    }
-                }
+        let g = &self.grammar;
+        let mut chart = Chart::new(n);
+        for &pos in tags {
+            let mut cell = Cell::EMPTY;
+            for &(lhs, lp) in g.lexical(pos) {
+                cell.offer(lhs.index(), lp, Back::TERM);
             }
             self.unary_closure(&mut cell);
-            chart[i][0] = cell;
+            chart.cells.push(cell);
         }
         for width in 2..=n {
             for start in 0..=(n - width) {
-                let mut cell = Cell::new();
+                let mut cell = Cell::EMPTY;
                 for split in 1..width {
-                    // Clone the (small) left/right views to appease the
-                    // borrow checker; cells hold a handful of symbols.
-                    let left = chart[start][split - 1].clone();
-                    let right = chart[start + split][width - split - 1].clone();
-                    for (&ls, &(lp, _)) in &left {
-                        for (&rs, &(rp, _)) in &right {
-                            for rule in self.grammar.rules_for_children(ls, rs) {
-                                let score = lp + rp + rule.prob.ln();
-                                match cell.get(&rule.lhs) {
-                                    Some(&(best, _)) if best >= score => {}
-                                    _ => {
-                                        cell.insert(
-                                            rule.lhs,
-                                            (score, Back::Binary(start + split, ls, rs, rule.head)),
-                                        );
-                                    }
-                                }
+                    let left = chart.cell(start, split);
+                    let right = chart.cell(start + split, width - split);
+                    for ls in slots(left.mask) {
+                        let lsym = Symbol::ALL[ls];
+                        let lp = left.score[ls];
+                        for rs in slots(right.mask & g.right_mask(lsym)) {
+                            let base = lp + right.score[rs];
+                            for rule in g.binary_entries(lsym, Symbol::ALL[rs]) {
+                                cell.offer(
+                                    rule.lhs.index(),
+                                    base + rule.log_prob,
+                                    Back::binary(split, ls, rs, rule.head),
+                                );
                             }
                         }
                     }
                 }
                 self.unary_closure(&mut cell);
-                chart[start][width - 1] = cell;
+                chart.cells.push(cell);
             }
         }
-        let top_cell = &chart[0][n - 1];
-        // Prefer TOP; otherwise the best-scoring full-span symbol.
-        let goal = if top_cell.contains_key(&Symbol::Top) {
-            Symbol::Top
+        let top = chart.cell(0, n);
+        // Prefer TOP; otherwise the best-scoring full-span symbol, the
+        // highest slot among exact ties.
+        let goal = if top.mask & 1 << Symbol::Top.index() != 0 {
+            Symbol::Top.index()
         } else {
-            *top_cell
-                .iter()
-                .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("no NaN scores"))?
-                .0
+            slots(top.mask).reduce(|best, s| {
+                if top.score[s] >= top.score[best] {
+                    s
+                } else {
+                    best
+                }
+            })?
         };
         let mut nodes = Vec::new();
-        let root = self.extract(&chart, tags, 0, n - 1, goal, &mut nodes);
+        let root = extract(&chart, tags, 0, n, goal, &mut nodes);
         let tree = ConstTree::new(nodes, root, n);
         debug_assert!(tree.validate().is_ok(), "CKY produced invalid tree");
         Some(tree)
@@ -164,74 +274,14 @@ impl CkyParser {
     fn unary_closure(&self, cell: &mut Cell) {
         loop {
             let mut changed = false;
-            for r in self.grammar.unary_rules() {
-                if let Some(&(child_score, _)) = cell.get(&r.child) {
-                    let score = child_score + r.prob.ln();
-                    match cell.get(&r.lhs) {
-                        Some(&(best, _)) if best >= score => {}
-                        _ => {
-                            cell.insert(r.lhs, (score, Back::Unary(r.child)));
-                            changed = true;
-                        }
-                    }
+            for &(lhs, child, lp) in self.grammar.unary_log() {
+                let c = child.index();
+                if cell.mask & 1 << c != 0 {
+                    changed |= cell.offer(lhs.index(), cell.score[c] + lp, Back::unary(c));
                 }
             }
             if !changed {
                 break;
-            }
-        }
-    }
-
-    /// Rebuild the tree from back-pointers; returns the arena id.
-    fn extract(
-        &self,
-        chart: &[Vec<Cell>],
-        tags: &[Pos],
-        start: usize,
-        width_m1: usize,
-        sym: Symbol,
-        nodes: &mut Vec<ConstNode>,
-    ) -> usize {
-        let (_, back) = chart[start][width_m1][&sym];
-        match back {
-            Back::Term => {
-                nodes.push(ConstNode::Leaf {
-                    token: start,
-                    pos: tags[start],
-                });
-                let leaf = nodes.len() - 1;
-                nodes.push(ConstNode::Internal {
-                    label: sym,
-                    children: vec![leaf],
-                    head: start,
-                });
-                nodes.len() - 1
-            }
-            Back::Unary(child) => {
-                let c = self.extract(chart, tags, start, width_m1, child, nodes);
-                let head = head_of_node(nodes, c);
-                nodes.push(ConstNode::Internal {
-                    label: sym,
-                    children: vec![c],
-                    head,
-                });
-                nodes.len() - 1
-            }
-            Back::Binary(split, ls, rs, head_side) => {
-                let lw = split - start - 1;
-                let rw = width_m1 - (split - start);
-                let l = self.extract(chart, tags, start, lw, ls, nodes);
-                let r = self.extract(chart, tags, split, rw, rs, nodes);
-                let head = match head_side {
-                    HeadSide::Left => head_of_node(nodes, l),
-                    HeadSide::Right => head_of_node(nodes, r),
-                };
-                nodes.push(ConstNode::Internal {
-                    label: sym,
-                    children: vec![l, r],
-                    head,
-                });
-                nodes.len() - 1
             }
         }
     }
@@ -269,39 +319,95 @@ impl CkyParser {
     }
 
     fn parse_tokens_uncached(&self, tokens: &[Token]) -> DepTree {
-        let n = tokens.len();
-        if n == 0 {
-            return DepTree::empty();
-        }
-        let kept: Vec<usize> = (0..n)
-            .filter(|&i| !matches!(tokens[i].pos, Pos::Punct | Pos::Particle))
-            .collect();
-        if kept.is_empty() {
-            // All punctuation: chain every token to its predecessor.
-            return DepTree::right_branching(n);
-        }
-        let tags: Vec<Pos> = kept.iter().map(|&i| tokens[i].pos).collect();
-        // Edges among kept tokens, in kept-index space.
-        let edges: Vec<Option<usize>> = match self.parse_constituency(&tags) {
-            Some(tree) => dependency_edges(&tree),
-            None => (0..kept.len())
-                .map(|i| if i == 0 { None } else { Some(i - 1) })
-                .collect(),
-        };
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        for (ki, edge) in edges.iter().enumerate() {
-            parent[kept[ki]] = edge.map(|p| kept[p]);
-        }
-        // Re-attach excluded tokens to the nearest preceding kept token,
-        // or the first kept token when none precedes.
-        for i in 0..n {
-            if matches!(tokens[i].pos, Pos::Punct | Pos::Particle) {
-                let anchor = kept.iter().rev().find(|&&k| k < i).or_else(|| kept.first());
-                parent[i] = anchor.copied();
-            }
-        }
-        DepTree::from_parents(parent)
+        tokens_to_tree(tokens, |tags| self.parse_constituency(tags))
     }
+}
+
+/// The total token-level wrapper around a constituency parse: drop
+/// punctuation/particles, parse the remaining tags with `parse`, fall
+/// back to a right-branching backbone when it fails, then re-attach the
+/// dropped tokens to the nearest preceding kept token.
+fn tokens_to_tree(tokens: &[Token], parse: impl FnOnce(&[Pos]) -> Option<ConstTree>) -> DepTree {
+    let n = tokens.len();
+    if n == 0 {
+        return DepTree::empty();
+    }
+    let kept: Vec<usize> = (0..n)
+        .filter(|&i| !matches!(tokens[i].pos, Pos::Punct | Pos::Particle))
+        .collect();
+    if kept.is_empty() {
+        // All punctuation: chain every token to its predecessor.
+        return DepTree::right_branching(n);
+    }
+    let tags: Vec<Pos> = kept.iter().map(|&i| tokens[i].pos).collect();
+    // Edges among kept tokens, in kept-index space.
+    let edges: Vec<Option<usize>> = match parse(&tags) {
+        Some(tree) => dependency_edges(&tree),
+        None => (0..kept.len())
+            .map(|i| if i == 0 { None } else { Some(i - 1) })
+            .collect(),
+    };
+    let mut parent: Vec<Option<usize>> = vec![None; n];
+    for (ki, edge) in edges.iter().enumerate() {
+        parent[kept[ki]] = edge.map(|p| kept[p]);
+    }
+    // Re-attach excluded tokens to the nearest preceding kept token,
+    // or the first kept token when none precedes.
+    for i in 0..n {
+        if matches!(tokens[i].pos, Pos::Punct | Pos::Particle) {
+            let anchor = kept.iter().rev().find(|&&k| k < i).or_else(|| kept.first());
+            parent[i] = anchor.copied();
+        }
+    }
+    DepTree::from_parents(parent)
+}
+
+/// Rebuild the tree under `slot` of the cell spanning `width` tokens
+/// from `start`; returns the arena id.
+fn extract(
+    chart: &Chart,
+    tags: &[Pos],
+    start: usize,
+    width: usize,
+    slot: usize,
+    nodes: &mut Vec<ConstNode>,
+) -> usize {
+    let label = Symbol::ALL[slot];
+    let (children, head) = match chart.cell(start, width).back[slot].step() {
+        Step::Term => {
+            nodes.push(ConstNode::Leaf {
+                token: start,
+                pos: tags[start],
+            });
+            (vec![nodes.len() - 1], start)
+        }
+        Step::Unary(child) => {
+            let c = extract(chart, tags, start, width, child.index(), nodes);
+            (vec![c], head_of_node(nodes, c))
+        }
+        Step::Binary(left_width, ls, rs, head_side) => {
+            let l = extract(chart, tags, start, left_width, ls.index(), nodes);
+            let r = extract(
+                chart,
+                tags,
+                start + left_width,
+                width - left_width,
+                rs.index(),
+                nodes,
+            );
+            let head = match head_side {
+                HeadSide::Left => head_of_node(nodes, l),
+                HeadSide::Right => head_of_node(nodes, r),
+            };
+            (vec![l, r], head)
+        }
+    };
+    nodes.push(ConstNode::Internal {
+        label,
+        children,
+        head,
+    });
+    nodes.len() - 1
 }
 
 /// Head (local token index) of an arena node.
@@ -330,6 +436,188 @@ pub fn dependency_edges(tree: &ConstTree) -> Vec<Option<usize>> {
         }
     }
     parent
+}
+
+/// Ordered-map CKY oracle: the chart the dense chart replaced, one
+/// `BTreeMap<Symbol, (score, back-pointer)>` per cell, every rule's
+/// `ln p` recomputed where it is used. Map iteration is `Symbol` order,
+/// so exact-score ties resolve the way the dense chart documents; the
+/// property tests in `crates/parser/tests/` assert the dense parser
+/// reproduces this one exactly.
+#[doc(hidden)]
+pub mod reference {
+    use super::{head_of_node, tokens_to_tree, CkyParser};
+    use crate::dep::DepTree;
+    use crate::grammar::{BinaryRule, Grammar, HeadSide, Symbol};
+    use crate::tree::{ConstNode, ConstTree};
+    use gced_text::{Pos, Token};
+    use std::collections::BTreeMap;
+
+    /// Back-pointer for chart entries.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Back {
+        /// Preterminal over one token.
+        Term,
+        /// Unary rewrite from another symbol in the same cell.
+        Unary(Symbol),
+        /// Binary combination: split point, child symbols, head side.
+        Binary(usize, Symbol, Symbol, HeadSide),
+    }
+
+    /// One chart cell: best (log-prob, back-pointer) per symbol.
+    type Cell = BTreeMap<Symbol, (f64, Back)>;
+
+    /// Reference [`CkyParser::parse_constituency`].
+    pub fn parse_constituency(parser: &CkyParser, tags: &[Pos]) -> Option<ConstTree> {
+        let n = tags.len();
+        if n == 0 || n > parser.max_len {
+            return None;
+        }
+        let grammar = &parser.grammar;
+        let mut by_children: BTreeMap<(Symbol, Symbol), Vec<&BinaryRule>> = BTreeMap::new();
+        for r in grammar.binary_rules() {
+            by_children.entry((r.left, r.right)).or_default().push(r);
+        }
+        // chart[i][j] spans tokens i..=i+j (j = width-1).
+        let mut chart: Vec<Vec<Cell>> = vec![vec![Cell::new(); n]; n];
+        for (i, &pos) in tags.iter().enumerate() {
+            let mut cell = Cell::new();
+            for r in grammar.preterminal_rules().iter().filter(|r| r.pos == pos) {
+                let lp = r.prob.ln();
+                match cell.get(&r.lhs) {
+                    Some(&(best, _)) if best >= lp => {}
+                    _ => {
+                        cell.insert(r.lhs, (lp, Back::Term));
+                    }
+                }
+            }
+            unary_closure(grammar, &mut cell);
+            chart[i][0] = cell;
+        }
+        for width in 2..=n {
+            for start in 0..=(n - width) {
+                let mut cell = Cell::new();
+                for split in 1..width {
+                    let left = &chart[start][split - 1];
+                    let right = &chart[start + split][width - split - 1];
+                    for (&ls, &(lp, _)) in left {
+                        for (&rs, &(rp, _)) in right {
+                            let Some(rules) = by_children.get(&(ls, rs)) else {
+                                continue;
+                            };
+                            for rule in rules {
+                                let score = lp + rp + rule.prob.ln();
+                                match cell.get(&rule.lhs) {
+                                    Some(&(best, _)) if best >= score => {}
+                                    _ => {
+                                        cell.insert(
+                                            rule.lhs,
+                                            (score, Back::Binary(start + split, ls, rs, rule.head)),
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                unary_closure(grammar, &mut cell);
+                chart[start][width - 1] = cell;
+            }
+        }
+        let top_cell = &chart[0][n - 1];
+        // Prefer TOP; otherwise the best-scoring full-span symbol.
+        let goal = if top_cell.contains_key(&Symbol::Top) {
+            Symbol::Top
+        } else {
+            *top_cell
+                .iter()
+                .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("no NaN scores"))?
+                .0
+        };
+        let mut nodes = Vec::new();
+        let root = extract(&chart, tags, 0, n - 1, goal, &mut nodes);
+        Some(ConstTree::new(nodes, root, n))
+    }
+
+    /// Reference [`CkyParser::parse_tokens`] (uncached).
+    pub fn parse_tokens(parser: &CkyParser, tokens: &[Token]) -> DepTree {
+        tokens_to_tree(tokens, |tags| parse_constituency(parser, tags))
+    }
+
+    /// Apply unary rules to a fixed point.
+    fn unary_closure(grammar: &Grammar, cell: &mut Cell) {
+        loop {
+            let mut changed = false;
+            for r in grammar.unary_rules() {
+                if let Some(&(child_score, _)) = cell.get(&r.child) {
+                    let score = child_score + r.prob.ln();
+                    match cell.get(&r.lhs) {
+                        Some(&(best, _)) if best >= score => {}
+                        _ => {
+                            cell.insert(r.lhs, (score, Back::Unary(r.child)));
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// Rebuild the tree from back-pointers; returns the arena id.
+    fn extract(
+        chart: &[Vec<Cell>],
+        tags: &[Pos],
+        start: usize,
+        width_m1: usize,
+        sym: Symbol,
+        nodes: &mut Vec<ConstNode>,
+    ) -> usize {
+        let (_, back) = chart[start][width_m1][&sym];
+        match back {
+            Back::Term => {
+                nodes.push(ConstNode::Leaf {
+                    token: start,
+                    pos: tags[start],
+                });
+                let leaf = nodes.len() - 1;
+                nodes.push(ConstNode::Internal {
+                    label: sym,
+                    children: vec![leaf],
+                    head: start,
+                });
+                nodes.len() - 1
+            }
+            Back::Unary(child) => {
+                let c = extract(chart, tags, start, width_m1, child, nodes);
+                let head = head_of_node(nodes, c);
+                nodes.push(ConstNode::Internal {
+                    label: sym,
+                    children: vec![c],
+                    head,
+                });
+                nodes.len() - 1
+            }
+            Back::Binary(split, ls, rs, head_side) => {
+                let lw = split - start - 1;
+                let rw = width_m1 - (split - start);
+                let l = extract(chart, tags, start, lw, ls, nodes);
+                let r = extract(chart, tags, split, rw, rs, nodes);
+                let head = match head_side {
+                    HeadSide::Left => head_of_node(nodes, l),
+                    HeadSide::Right => head_of_node(nodes, r),
+                };
+                nodes.push(ConstNode::Internal {
+                    label: sym,
+                    children: vec![l, r],
+                    head,
+                });
+                nodes.len() - 1
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -421,6 +709,13 @@ mod tests {
         let tree = parser.parse_tokens(&doc.tokens);
         assert_eq!(tree.len(), 100);
         tree.validate().unwrap();
+    }
+
+    #[test]
+    fn chart_for_a_max_len_sentence_stays_under_one_mib() {
+        let n = CkyParser::embedded().max_len;
+        let bytes = std::mem::size_of::<Cell>() * n * (n + 1) / 2;
+        assert!(bytes < 1 << 20, "{bytes} bytes");
     }
 
     #[test]

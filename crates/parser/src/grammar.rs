@@ -13,6 +13,9 @@
 use gced_text::Pos;
 use std::collections::HashMap;
 
+/// Number of grammar symbols: the slot count of a dense chart cell.
+pub(crate) const SYMBOL_COUNT: usize = 18;
+
 /// Grammar nonterminal symbols (plus the goal symbol `Top`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Symbol {
@@ -55,6 +58,34 @@ pub enum Symbol {
 }
 
 impl Symbol {
+    /// Every symbol in declaration (= `Ord`) order; `ALL[s.index()] == s`.
+    pub(crate) const ALL: [Symbol; SYMBOL_COUNT] = [
+        Symbol::Top,
+        Symbol::S,
+        Symbol::Np,
+        Symbol::Nbar,
+        Symbol::N,
+        Symbol::Vp,
+        Symbol::V,
+        Symbol::Aux,
+        Symbol::Pp,
+        Symbol::In,
+        Symbol::Adjp,
+        Symbol::Advp,
+        Symbol::Dt,
+        Symbol::CcNp,
+        Symbol::CcVp,
+        Symbol::CcS,
+        Symbol::Cc,
+        Symbol::Num,
+    ];
+
+    /// Dense slot of this symbol, `0..SYMBOL_COUNT`, ascending in `Ord`.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short label for tree rendering.
     pub fn label(self) -> &'static str {
         match self {
@@ -115,16 +146,35 @@ pub struct BinaryRule {
     pub head: HeadSide,
 }
 
-/// A normalized, indexed PCFG.
+/// A binary rule as the CKY chart applies it, stored under its
+/// `(left, right)` child pair: parent symbol, `ln p`, head side.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BinaryEntry {
+    pub(crate) lhs: Symbol,
+    pub(crate) log_prob: f64,
+    pub(crate) head: HeadSide,
+}
+
+/// A normalized PCFG plus the dense, log-space tables CKY runs on.
+///
+/// Every `ln p` is computed once here, and every table keeps rules in
+/// declaration order, so a chart walking them in slot order visits
+/// candidates in a fixed order.
 #[derive(Debug, Clone)]
 pub struct Grammar {
     preterm: Vec<PretermRule>,
     unary: Vec<UnaryRule>,
     binary: Vec<BinaryRule>,
-    /// pos -> rules producing it (for CKY initialization).
-    by_pos: HashMap<Pos, Vec<PretermRule>>,
-    /// (left, right) -> binary rules (for CKY combination).
-    by_children: HashMap<(Symbol, Symbol), Vec<BinaryRule>>,
+    /// `pos as usize` -> `(lhs, ln p)` of the rules producing it.
+    lexical: Vec<Vec<(Symbol, f64)>>,
+    /// `(lhs, child, ln p)` per unary rule.
+    unary_log: Vec<(Symbol, Symbol, f64)>,
+    /// `[left][right]` -> `start..end` range of `pair_rules`.
+    pair_range: [[(u16, u16); SYMBOL_COUNT]; SYMBOL_COUNT],
+    /// Binary rules grouped by child pair (left-major).
+    pair_rules: Vec<BinaryEntry>,
+    /// `[left]` -> bit mask of the right symbols it combines with.
+    right_mask: [u32; SYMBOL_COUNT],
 }
 
 impl Grammar {
@@ -143,17 +193,32 @@ impl Grammar {
         &self.binary
     }
 
-    /// Preterminal rules that yield `pos`.
-    pub fn rules_for_pos(&self, pos: Pos) -> &[PretermRule] {
-        self.by_pos.get(&pos).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Binary rules over a `(left, right)` child pair.
-    pub fn rules_for_children(&self, left: Symbol, right: Symbol) -> &[BinaryRule] {
-        self.by_children
-            .get(&(left, right))
+    /// `(lhs, ln p)` of the preterminal rules that yield `pos`, in rule
+    /// order.
+    pub(crate) fn lexical(&self, pos: Pos) -> &[(Symbol, f64)] {
+        self.lexical
+            .get(pos as usize)
             .map(Vec::as_slice)
             .unwrap_or(&[])
+    }
+
+    /// `(lhs, child, ln p)` of every unary rule, in rule order.
+    pub(crate) fn unary_log(&self) -> &[(Symbol, Symbol, f64)] {
+        &self.unary_log
+    }
+
+    /// Binary rules over a `(left, right)` child pair, in rule order.
+    #[inline]
+    pub(crate) fn binary_entries(&self, left: Symbol, right: Symbol) -> &[BinaryEntry] {
+        let (start, end) = self.pair_range[left.index()][right.index()];
+        &self.pair_rules[start as usize..end as usize]
+    }
+
+    /// Bit mask (bit `s.index()`) of the right children `left` has a
+    /// binary rule with; `0` when `left` never appears as a left child.
+    #[inline]
+    pub(crate) fn right_mask(&self, left: Symbol) -> u32 {
+        self.right_mask[left.index()]
     }
 
     /// The embedded English grammar used throughout the reproduction.
@@ -319,20 +384,52 @@ impl GrammarBuilder {
             })
             .collect();
 
-        let mut by_pos: HashMap<Pos, Vec<PretermRule>> = HashMap::new();
+        let mut lexical: Vec<Vec<(Symbol, f64)>> = Vec::new();
         for r in &preterm {
-            by_pos.entry(r.pos).or_default().push(*r);
+            let slot = r.pos as usize;
+            if lexical.len() <= slot {
+                lexical.resize_with(slot + 1, Vec::new);
+            }
+            lexical[slot].push((r.lhs, r.prob.ln()));
         }
-        let mut by_children: HashMap<(Symbol, Symbol), Vec<BinaryRule>> = HashMap::new();
-        for r in &binary {
-            by_children.entry((r.left, r.right)).or_default().push(*r);
+        let unary_log = unary
+            .iter()
+            .map(|r| (r.lhs, r.child, r.prob.ln()))
+            .collect();
+
+        let mut pair_range = [[(0u16, 0u16); SYMBOL_COUNT]; SYMBOL_COUNT];
+        let mut pair_rules = Vec::with_capacity(binary.len());
+        let mut right_mask = [0u32; SYMBOL_COUNT];
+        for left in Symbol::ALL {
+            for right in Symbol::ALL {
+                let start = pair_rules.len();
+                pair_rules.extend(
+                    binary
+                        .iter()
+                        .filter(|r| r.left == left && r.right == right)
+                        .map(|r| BinaryEntry {
+                            lhs: r.lhs,
+                            log_prob: r.prob.ln(),
+                            head: r.head,
+                        }),
+                );
+                let end = pair_rules.len();
+                if end > start {
+                    right_mask[left.index()] |= 1 << right.index();
+                }
+                let narrow = |i: usize| u16::try_from(i).expect("binary rule count fits u16");
+                pair_range[left.index()][right.index()] = (narrow(start), narrow(end));
+            }
         }
         Grammar {
             preterm,
             unary,
             binary,
-            by_pos,
-            by_children,
+            lexical,
+            unary_log,
+            pair_range,
+            pair_rules,
+            right_mask,
         }
     }
 }
@@ -340,6 +437,43 @@ impl GrammarBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn symbol_slots_follow_declaration_order() {
+        for (i, s) in Symbol::ALL.iter().enumerate() {
+            assert_eq!(s.index(), i);
+        }
+        assert!(Symbol::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn dense_tables_mirror_the_rule_lists() {
+        let g = Grammar::english();
+        for r in g.binary_rules() {
+            let hits = g
+                .binary_entries(r.left, r.right)
+                .iter()
+                .filter(|e| e.lhs == r.lhs && e.head == r.head && e.log_prob == r.prob.ln())
+                .count();
+            assert_eq!(hits, 1, "{r:?}");
+            assert_ne!(g.right_mask(r.left) & (1 << r.right.index()), 0);
+        }
+        let indexed: usize = Symbol::ALL
+            .iter()
+            .flat_map(|&l| Symbol::ALL.iter().map(move |&r| (l, r)))
+            .map(|(l, r)| g.binary_entries(l, r).len())
+            .sum();
+        assert_eq!(indexed, g.binary_rules().len());
+        // Two parents share the (NUM, NBAR) children, in rule order.
+        let shared: Vec<Symbol> = g
+            .binary_entries(Symbol::Num, Symbol::Nbar)
+            .iter()
+            .map(|e| e.lhs)
+            .collect();
+        assert_eq!(shared, vec![Symbol::Np, Symbol::Nbar]);
+        assert!(g.lexical(Pos::Punct).is_empty());
+        assert_eq!(g.unary_log().len(), g.unary_rules().len());
+    }
 
     #[test]
     fn english_grammar_normalizes_per_lhs() {
@@ -371,14 +505,14 @@ mod tests {
             Pos::Det,
             Pos::Prep,
         ] {
-            assert!(!g.rules_for_pos(pos).is_empty(), "{pos:?} unproducible");
+            assert!(!g.lexical(pos).is_empty(), "{pos:?} unproducible");
         }
     }
 
     #[test]
     fn children_index_finds_s_rule() {
         let g = Grammar::english();
-        let rules = g.rules_for_children(Symbol::Np, Symbol::Vp);
+        let rules = g.binary_entries(Symbol::Np, Symbol::Vp);
         assert!(rules
             .iter()
             .any(|r| r.lhs == Symbol::S && r.head == HeadSide::Right));
