@@ -110,7 +110,8 @@ pub fn det002_in_scope(path: &str) -> bool {
 /// DET003 allowlist: modules whose entire job is timing — the batcher's
 /// flush deadlines, the HTTP read-deadline clock, the gced-obs clock
 /// (the single monotonic-tick source every span/stopwatch reads
-/// through), the criterion compat shim, and the bench harness.
+/// through), the criterion compat shim, and the two bench harnesses
+/// (`crates/bench/` and the end-to-end `perfbench/`).
 /// Everywhere else a wall-clock read in a result path would break
 /// replayability.
 pub fn det003_allowed(path: &str) -> bool {
@@ -122,6 +123,7 @@ pub fn det003_allowed(path: &str) -> bool {
     ALLOW.contains(&path)
         || path.starts_with("crates/compat/criterion/")
         || path.starts_with("crates/bench/")
+        || path.starts_with("perfbench/")
 }
 
 /// DET004 allowlist: the seeded-rng compat crate itself.
@@ -163,6 +165,9 @@ mod tests {
         assert!(det003_allowed("crates/serve/src/batch.rs"));
         assert!(det003_allowed("crates/compat/criterion/src/lib.rs"));
         assert!(det003_allowed("crates/obs/src/clock.rs"));
+        assert!(det003_allowed("crates/bench/benches/serve_load.rs"));
+        assert!(det003_allowed("perfbench/src/main.rs"));
+        assert!(!det003_allowed("crates/perfbench/src/main.rs"));
         assert!(!det003_allowed("crates/obs/src/lib.rs"));
         assert!(!det003_allowed("crates/core/src/lib.rs"));
 

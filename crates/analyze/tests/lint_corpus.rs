@@ -229,6 +229,27 @@ fn negatives_stay_silent() {
     }
 }
 
+/// DET003's path allowance: the same wall-clock read fires in a result
+/// path and stays silent in the two bench harnesses, which time by
+/// design.
+#[test]
+fn det003_allows_the_bench_harnesses_only() {
+    let src = "fn stamp() -> std::time::Instant { std::time::Instant::now() }\n";
+    let ids: Vec<&str> = check_file("crates/eval/src/shard.rs", src)
+        .findings
+        .iter()
+        .map(|f| f.lint)
+        .collect();
+    assert_eq!(ids, vec!["DET003"]);
+    for path in [
+        "perfbench/src/main.rs",
+        "crates/bench/benches/serve_load.rs",
+    ] {
+        let found = check_file(path, src).findings;
+        assert!(found.is_empty(), "{path} produced {found:?}");
+    }
+}
+
 #[test]
 fn findings_carry_file_line_spans() {
     let case = &CORPUS[0];

@@ -13,8 +13,7 @@
 //! (total measured requests, default 192), `GCED_SERVE_WARMUP`
 //! (default 32), `GCED_SERVE_BATCH_MAX` (default 16),
 //! `GCED_SERVE_FLUSH_US` (default 2000), `GCED_SERVE_CACHE_REQUESTS`
-//! (Zipf phase, default 256). The fit honors `GCED_FIT_CACHE` like
-//! every other bench runner.
+//! (Zipf phase, default 256).
 //!
 //! Phase 1 runs with the response cache DISABLED so the cold pipeline
 //! numbers stay comparable across revisions. Phase 2 starts a second
@@ -24,9 +23,10 @@
 //! stays cold), splitting latencies by the X-Gced-Cache header into
 //! warm-hit and miss quantiles.
 
-use gced_bench::{finish, fitted, start};
+use gced_bench::{finish, start};
 use gced_datasets::json::{self, Json};
 use gced_datasets::{generate, DatasetKind, GeneratorConfig};
+use gced_eval::shard::load_or_fit;
 use gced_serve::wire::{render_request, DistillRequest};
 use gced_serve::{client, ServeConfig};
 use std::time::{Duration, Instant};
@@ -50,7 +50,7 @@ fn main() {
     let flush_us = env_usize("GCED_SERVE_FLUSH_US", 2_000);
 
     let kind = DatasetKind::Squad11;
-    let pipeline = fitted(kind, scale, seed);
+    let pipeline = load_or_fit(kind, scale, seed, None).expect("a fresh fit cannot fail");
     let dataset = generate(
         kind,
         GeneratorConfig {

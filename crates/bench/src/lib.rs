@@ -1,26 +1,15 @@
-//! Shared helpers for the table/figure bench targets.
+//! Shared helpers for the timing benches.
 //!
-//! Every bench in `benches/` is a `harness = false` binary that
-//! regenerates one table or figure of the paper: it builds the workload,
-//! runs the experiment at the `GCED_SCALE` scale, and prints the same
-//! rows/series the paper reports (human-readable table + TSV block).
-//!
-//! **Fit-cache reuse across a table sweep**: when `GCED_FIT_CACHE`
-//! names a directory, [`fitted`] (and [`prepare_context`] on top of it)
-//! keeps one artifact per fit fingerprint (`kind` × scale × seed) in
-//! it — the first runner to need a fit publishes the artifact, every
-//! later runner of the same fingerprint maps it. A full
-//! `GCED_FIT_CACHE=dir cargo bench -p gced-bench` therefore fits each
-//! substrate set **once** instead of once per table, with bit-identical
-//! output either way (`gced::cache` round-trips exactly).
+//! `benches/` holds the criterion perf pipeline (`perf_pipeline`,
+//! `obs_overhead`) and the `serve_load` load generator, all
+//! `harness = false` binaries sized by `GCED_SCALE`; [`gate`] is the
+//! bench-regression gate behind `gced bench-check`. The paper's tables
+//! and figures are not benches: `gced run <experiment>` regenerates
+//! them (see `gced_eval::shard`).
 
 pub mod gate;
 
-use gced_datasets::DatasetKind;
-use gced_eval::experiments::ExperimentContext;
-use gced_eval::shard::{fit_fingerprint, load_or_fit};
 use gced_eval::Scale;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Standard bench banner + scale resolution.
@@ -43,60 +32,4 @@ pub fn start(name: &str, what: &str) -> (Scale, u64, Instant) {
 /// Standard bench footer.
 pub fn finish(t0: Instant) {
     println!("\nelapsed: {:.1}s", t0.elapsed().as_secs_f64());
-}
-
-/// The fit-cache directory from `GCED_FIT_CACHE`, created on first use.
-/// `None` (unset or empty) means every runner fits fresh, as before.
-pub fn fit_cache_dir() -> Option<PathBuf> {
-    let dir = std::env::var("GCED_FIT_CACHE").ok()?;
-    if dir.is_empty() {
-        return None;
-    }
-    let dir = PathBuf::from(dir);
-    std::fs::create_dir_all(&dir)
-        .unwrap_or_else(|e| panic!("GCED_FIT_CACHE: cannot create {}: {e}", dir.display()));
-    Some(dir)
-}
-
-/// Artifact path of one fingerprint inside the shared cache directory.
-fn artifact_path(dir: &std::path::Path, kind: DatasetKind, scale: Scale, seed: u64) -> PathBuf {
-    // `:` is not portable in file names; the fingerprint itself is
-    // still embedded (and verified) inside the artifact.
-    dir.join(format!(
-        "{}.bin",
-        fit_fingerprint(kind, scale, seed).replace(':', "-")
-    ))
-}
-
-/// A fitted pipeline, through the shared `GCED_FIT_CACHE` artifact when
-/// the env var is set (fit once per fingerprint per sweep), fitting
-/// fresh otherwise. Output distills bit-identically either way.
-pub fn fitted(kind: DatasetKind, scale: Scale, seed: u64) -> gced::Gced {
-    let cache = fit_cache_dir().map(|dir| artifact_path(&dir, kind, scale, seed));
-    match load_or_fit(kind, scale, seed, cache.as_deref()) {
-        Ok(fitted) => {
-            if let Some(path) = &cache {
-                eprintln!(
-                    "bench: fit cache {} ({} bytes)",
-                    path.display(),
-                    std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
-                );
-            }
-            fitted
-        }
-        Err(e) => panic!("GCED_FIT_CACHE: {e}"),
-    }
-}
-
-/// [`ExperimentContext::prepare`] through [`fitted`]: what the table
-/// runners call so a sweep shares one fit per fingerprint.
-pub fn prepare_context(kind: DatasetKind, scale: Scale, seed: u64) -> ExperimentContext {
-    ExperimentContext::prepare_fitted(
-        kind,
-        scale,
-        seed,
-        Some(fitted(kind, scale, seed)),
-        Some(gced_datasets::ShardSpec::single()),
-        Some(gced_datasets::ShardSpec::single()),
-    )
 }

@@ -1,14 +1,17 @@
-//! Experiment runners for every table and figure of the paper.
+//! Per-row building blocks for every table and figure of the paper.
 //!
 //! The expensive artifacts (fitted pipeline, ground-truth-based evidence
-//! caches) live in an [`ExperimentContext`] so the Table IV/V/VI/VII and
-//! Fig. 7 runners can share them; per-model artifacts (predicted-answer
-//! evidences) are built inside each runner.
+//! caches) live in an [`ExperimentContext`]; each function here computes
+//! one table row (or one Fig. 7 point) from it as a pure function of the
+//! shared artifacts, which is what lets [`crate::shard`] split any table
+//! across shards and merge it back bit-identically. The published
+//! reference figures the reports print next to the measured ones live
+//! here too.
 
 use crate::protocol::{HumanEvalOutcome, RatingProtocol};
 use crate::raters::RatedItem;
 use crate::scale::Scale;
-use gced::{Ablation, Distillation, Gced, GcedConfig};
+use gced::{Ablation, ClipMode, Distillation, Gced, GcedConfig};
 use gced_datasets::{generate, Dataset, DatasetKind, GeneratorConfig, QaExample, ShardSpec};
 use gced_qa::model::EvalResult;
 use gced_qa::zoo::ZooEntry;
@@ -33,47 +36,27 @@ pub struct ExperimentContext {
 
 impl ExperimentContext {
     /// Generate the dataset, fit the pipeline, and distill the
-    /// ground-truth evidence caches.
+    /// ground-truth evidence caches in full.
     pub fn prepare(kind: DatasetKind, scale: Scale, seed: u64) -> Self {
-        Self::prepare_shard(kind, scale, seed, ShardSpec::single())
+        let all = Some(ShardSpec::single());
+        Self::prepare_fitted(kind, scale, seed, None, all, all)
     }
 
-    /// [`ExperimentContext::prepare`] for one shard of a dataset-level
-    /// run: the dataset is generated in full and the pipeline is fitted
-    /// in full (both seeded by `seed`, so every shard holds identical
-    /// shared artifacts), but the expensive ground-truth evidence caches
-    /// are distilled only for the examples in `shard`'s contiguous range
-    /// of each split — the dominant `prepare` cost scales down by the
-    /// shard count. Entries outside the shard stay `None`.
-    ///
-    /// Because each example's distillation is deterministic and
-    /// independent, the union of all shards' caches is element-wise
-    /// identical to the single-process [`ExperimentContext::prepare`].
-    pub fn prepare_shard(kind: DatasetKind, scale: Scale, seed: u64, shard: ShardSpec) -> Self {
-        Self::prepare_with(kind, scale, seed, Some(shard), Some(shard))
-    }
-
-    /// The general form: shard the train and dev ground-truth caches
-    /// independently, with `None` skipping a split's cache entirely
-    /// (all entries `None`). Experiments that never read one cache —
-    /// the dev-only word-reduction runner, for instance — avoid paying
-    /// for it.
-    pub fn prepare_with(
-        kind: DatasetKind,
-        scale: Scale,
-        seed: u64,
-        train_shard: Option<ShardSpec>,
-        dev_shard: Option<ShardSpec>,
-    ) -> Self {
-        Self::prepare_fitted(kind, scale, seed, None, train_shard, dev_shard)
-    }
-
-    /// [`ExperimentContext::prepare_with`] around an already-fitted
-    /// pipeline (the shared fit cache: shard workers decode one
-    /// serialized fit instead of re-fitting identical state). The
-    /// caller guarantees `gced` was fitted on exactly the dataset that
+    /// The general form. `gced` is an already-fitted pipeline (the
+    /// shared fit cache: shard workers decode one serialized fit instead
+    /// of re-fitting identical state), or `None` to fit fresh; the
+    /// caller guarantees it was fitted on exactly the dataset that
     /// `(kind, scale, seed)` generates — the fit-cache fingerprint
-    /// enforces this on the CLI path. `None` fits fresh.
+    /// enforces this on the CLI path.
+    ///
+    /// The train and dev ground-truth caches are distilled only for the
+    /// examples in the given shard's contiguous range of each split;
+    /// `None` skips a split's cache entirely. Entries outside the range
+    /// stay `None`. Because each example's distillation is deterministic
+    /// and independent, the union of all shards' caches is element-wise
+    /// identical to the full [`ExperimentContext::prepare`] — so a shard
+    /// pays only for its slice of the dominant preparation cost, and an
+    /// experiment that never reads a cache does not pay for it at all.
     pub fn prepare_fitted(
         kind: DatasetKind,
         scale: Scale,
@@ -160,26 +143,16 @@ impl ExperimentContext {
     }
 }
 
-/// Distill every answerable example; with `answers: Some(_)`, use the
-/// provided per-example answer strings instead of the gold ones (the
-/// predicted-answer experiments).
+/// Distill every answerable example of `examples` whose index falls in
+/// `range` (a shard of the split); entries outside it are `None`. With
+/// `answers: Some(_)`, use the provided per-example answer strings
+/// instead of the gold ones (the predicted-answer experiments).
 ///
-/// Runs through [`Gced::distill_batch`], so table runners parallelize
-/// their dominant inner loop across worker threads while producing
-/// exactly the sequential per-example output.
-pub fn distill_split(
-    gced: &Gced,
-    examples: &[QaExample],
-    answers: Option<&[String]>,
-) -> Vec<Option<Distillation>> {
-    distill_split_range(gced, "distill_split", examples, answers, 0..examples.len())
-}
-
-/// [`distill_split`] restricted to the examples whose index falls in
-/// `range` (a shard of the split); entries outside it are `None`. The
-/// in-range entries are identical to the full run's, which is what the
-/// shard merge relies on. `experiment` names the caller in the
-/// length-mismatch panic below.
+/// Runs through [`Gced::distill_batch`], so runners parallelize their
+/// dominant inner loop across worker threads while producing exactly
+/// the sequential per-example output; the in-range entries are
+/// identical to a full run's, which is what the shard merge relies on.
+/// `experiment` names the caller in the length-mismatch panic below.
 pub fn distill_split_range(
     gced: &Gced,
     experiment: &str,
@@ -334,35 +307,59 @@ pub fn human_eval_gt_row(ctx: &ExperimentContext, scale: Scale) -> HumanEvalRow 
     }
 }
 
-/// Run the Table IV/V experiment: for each baseline model, distill
-/// evidences from its predicted answers and rate them; the final row
-/// rates ground-truth-answer-based evidences.
-pub fn human_eval(ctx: &ExperimentContext, zoo: &[ZooEntry], scale: Scale) -> Vec<HumanEvalRow> {
-    let mut rows: Vec<HumanEvalRow> = zoo
-        .iter()
-        .map(|entry| human_eval_model_row(ctx, entry, scale))
-        .collect();
-    rows.push(human_eval_gt_row(ctx, scale));
-    rows
+/// Published hybrid score of Table IV (SQuAD) / Table V (TriviaQA) for
+/// row `row` (zoo model order, ground truth last) of a `kind` run.
+pub fn paper_hybrid(kind: DatasetKind, row: usize) -> f64 {
+    // (variant 1, variant 2) per row: SQuAD-1.1/2.0, TriviaQA-Web/Wiki.
+    const SQUAD: [(f64, f64); 10] = [
+        (0.84, 0.85),
+        (0.86, 0.88),
+        (0.87, 0.84),
+        (0.86, 0.86),
+        (0.88, 0.89),
+        (0.88, 0.88),
+        (0.85, 0.88),
+        (0.87, 0.90),
+        (0.86, 0.89),
+        (0.89, 0.90),
+    ];
+    const TRIVIA: [(f64, f64); 10] = [
+        (0.81, 0.82),
+        (0.80, 0.78),
+        (0.83, 0.80),
+        (0.79, 0.77),
+        (0.78, 0.79),
+        (0.84, 0.81),
+        (0.80, 0.82),
+        (0.82, 0.80),
+        (0.83, 0.81),
+        (0.85, 0.83),
+    ];
+    let (v1, v2) = if kind.is_trivia() { TRIVIA } else { SQUAD }[row];
+    match variant_of(kind) {
+        Variant::V1 => v1,
+        Variant::V2 => v2,
+    }
 }
 
-/// The Table II agreement study: rate a pooled set of evidences of
-/// genuinely mixed quality — ground-truth-based, predicted-answer-based
+// ---------------------------------------------------------------------------
+// Table II: inter-rater agreement
+// ---------------------------------------------------------------------------
+
+/// Published Krippendorff's α of Table II, `PAPER_ALPHA[group][c]` with
+/// `c` in [`crate::rubric::Criterion::all`] order plus the hybrid last.
+pub const PAPER_ALPHA: [[f64; 4]; 3] = [
+    [0.77, 0.83, 0.82, 0.81],
+    [0.81, 0.80, 0.77, 0.79],
+    [0.76, 0.75, 0.81, 0.78],
+];
+
+/// The Table II agreement study's item set: a pooled set of evidences
+/// of genuinely mixed quality — ground-truth-based, predicted-answer-based
 /// (weak model), and ASE-ablated (noisier) — so Krippendorff's α is
 /// computed over variance-bearing data, as in the paper's pooled
-/// protocol (3,000 mixed QA pairs per model).
-pub fn agreement_study(
-    ctx: &ExperimentContext,
-    weak_model: &ZooEntry,
-    scale: Scale,
-) -> HumanEvalOutcome {
-    let protocol = RatingProtocol::paper(ctx.seed);
-    protocol.run(&agreement_items(ctx, weak_model, scale))
-}
-
-/// The pooled mixed-quality [`RatedItem`] set of the agreement study —
-/// deterministic shared input for both the monolithic
-/// [`agreement_study`] and the per-group sharded runner.
+/// protocol (3,000 mixed QA pairs per model). Reads the dev gt cache in
+/// full.
 pub fn agreement_items(
     ctx: &ExperimentContext,
     weak_model: &ZooEntry,
@@ -543,15 +540,6 @@ pub fn qa_augmentation_row(
     }
 }
 
-/// Run the Table VI/VII experiment for every zoo model.
-pub fn qa_augmentation(ctx: &ExperimentContext, zoo: &[ZooEntry]) -> Vec<QaRow> {
-    let ev_train = ctx.evidence_train();
-    let ev_dev = ctx.evidence_dev();
-    zoo.iter()
-        .map(|entry| qa_augmentation_row(ctx, entry, &ev_train, &ev_dev))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Table VIII: ablation study
 // ---------------------------------------------------------------------------
@@ -577,6 +565,19 @@ pub fn ablation_variants() -> Vec<(String, Ablation)> {
     variants
 }
 
+/// Published Table VIII (H, EM) per [`ablation_variants`] row — BERT on
+/// SQuAD-2.0, the only dataset the paper ablates on.
+pub const PAPER_ABLATION: [(f64, f64); 8] = [
+    (0.77, 72.0),
+    (0.74, 70.2),
+    (0.76, 75.2),
+    (0.77, 80.5),
+    (0.77, 80.2),
+    (0.76, 79.3),
+    (0.80, 82.1),
+    (0.84, 85.0),
+];
+
 /// One Table VIII row: re-distill both splits under one ablation
 /// config, rate the dev evidences, and retrain/evaluate the BERT-like
 /// profile on the evidence-replaced splits.
@@ -594,8 +595,20 @@ pub fn ablation_row(
         ..GcedConfig::default()
     };
     let pipeline = ctx.gced.clone().with_config(cfg);
-    let train_ev = distill_split(&pipeline, &ctx.dataset.train.examples, None);
-    let dev_ev = distill_split(&pipeline, &ctx.dataset.dev.examples, None);
+    let train_ev = distill_split_range(
+        &pipeline,
+        "ablation (train split)",
+        &ctx.dataset.train.examples,
+        None,
+        0..ctx.dataset.train.len(),
+    );
+    let dev_ev = distill_split_range(
+        &pipeline,
+        "ablation (dev split)",
+        &ctx.dataset.dev.examples,
+        None,
+        0..ctx.dataset.dev.len(),
+    );
     // Human evaluation over the first `rated` dev evidences.
     let items: Vec<RatedItem> = ctx
         .dataset
@@ -622,27 +635,84 @@ pub fn ablation_row(
     }
 }
 
-/// Run the Table VIII ablation: BERT profile, ground-truth evidences,
-/// one row per knocked-out component plus the full system.
-pub fn ablation(ctx: &ExperimentContext, bert: &ZooEntry, scale: Scale) -> Vec<AblationRow> {
-    ablation_variants()
-        .into_iter()
-        .map(|(label, ablation)| ablation_row(ctx, bert, scale, &label, ablation))
-        .collect()
+/// The design-choice sweep beyond the paper's Table VIII: grow order
+/// (max-attention vs index-order), clip protection (forest-protected vs
+/// unrestricted), the clip-count M, and the Eq. 5 weights that justify
+/// the default (α, β, γ). The default configuration comes first.
+pub fn design_variants(seed: u64) -> Vec<(&'static str, GcedConfig)> {
+    let base = GcedConfig {
+        seed,
+        ..GcedConfig::default()
+    };
+    let clip = |m| GcedConfig {
+        clip: ClipMode::Fixed(m),
+        ..base.clone()
+    };
+    let weights = |alpha, beta, gamma| GcedConfig {
+        alpha,
+        beta,
+        gamma,
+        ..base.clone()
+    };
+    vec![
+        ("max-attention grow (default)", base.clone()),
+        (
+            "index-order grow",
+            GcedConfig {
+                grow_max_attention: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "unprotected clip",
+            GcedConfig {
+                clip_protect_forest: false,
+                ..base.clone()
+            },
+        ),
+        ("M=0 (no clip)", clip(0)),
+        ("M=1", clip(1)),
+        ("M=2", clip(2)),
+        ("M=4", clip(4)),
+        ("M=8", clip(8)),
+        ("weights a=.8 b=.1 g=.1", weights(0.8, 0.1, 0.1)),
+        ("weights a=.2 b=.2 g=.6", weights(0.2, 0.2, 0.6)),
+        (
+            "weights a=.33 b=.33 g=.33",
+            weights(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+        ),
+    ]
+}
+
+/// One design-sweep row: distill the rated pool's ground-truth answers
+/// under `config` and rate the evidences. Returns the rating outcome
+/// and the mean evidence length in tokens.
+pub fn design_row(
+    ctx: &ExperimentContext,
+    scale: Scale,
+    label: &str,
+    config: GcedConfig,
+) -> (HumanEvalOutcome, f64) {
+    let pipeline = ctx.gced.clone().with_config(config);
+    let mut items = Vec::new();
+    let mut tokens = Vec::new();
+    for ex in rated_pool(ctx, scale) {
+        if let Ok(d) = pipeline.distill(&ex.question, &ex.answer, &ex.context) {
+            items.push(RatedItem::from_distillation(
+                format!("{label}-{}", ex.id),
+                &d,
+                &ex.answer,
+            ));
+            tokens.push(d.evidence_tokens.len() as f64);
+        }
+    }
+    let mean_tokens = tokens.iter().sum::<f64>() / tokens.len().max(1) as f64;
+    (RatingProtocol::paper(ctx.seed).run(&items), mean_tokens)
 }
 
 // ---------------------------------------------------------------------------
 // Figure 7: degradation under predicted-answer substitution
 // ---------------------------------------------------------------------------
-
-/// One model's degradation curve.
-#[derive(Debug, Clone)]
-pub struct DegradationSeries {
-    pub model: String,
-    /// (δ, EM, F1) per substitution rate; δ = 0 is the ground-truth
-    /// point ("gt" in Fig. 7).
-    pub points: Vec<(f64, f64, f64)>,
-}
 
 /// The canonical Fig. 7 substitution rates (δ = 0 is the ground-truth
 /// point) — the column axis of the sharded `degradation` grid.
@@ -709,30 +779,6 @@ pub fn degradation_point(
     m.train(&train);
     let e = m.evaluate(&dev);
     (delta, e.em, e.f1)
-}
-
-/// Run the Fig. 7 experiment: substitute a δ-fraction of ground-truth
-/// answers with each model's predicted answers before distillation,
-/// retrain on the mixed evidences, and evaluate against the gold
-/// answers.
-pub fn degradation(
-    ctx: &ExperimentContext,
-    zoo: &[ZooEntry],
-    deltas: &[f64],
-) -> Vec<DegradationSeries> {
-    zoo.iter()
-        .map(|entry| {
-            let pred = predicted_evidences(ctx, entry);
-            let points = deltas
-                .iter()
-                .map(|&delta| degradation_point(ctx, entry, &pred, delta))
-                .collect();
-            DegradationSeries {
-                model: entry.profile.name.clone(),
-                points,
-            }
-        })
-        .collect()
 }
 
 fn predict_answers(model: &QaModel, examples: &[QaExample]) -> Vec<String> {
@@ -820,7 +866,11 @@ mod tests {
     fn qa_augmentation_improves_models() {
         let c = ctx();
         let zoo = &gced_qa::zoo::squad_models()[..2];
-        let rows = qa_augmentation(c, zoo);
+        let (ev_train, ev_dev) = (c.evidence_train(), c.evidence_dev());
+        let rows: Vec<QaRow> = zoo
+            .iter()
+            .map(|entry| qa_augmentation_row(c, entry, &ev_train, &ev_dev))
+            .collect();
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(
@@ -839,7 +889,10 @@ mod tests {
     fn human_eval_produces_rows_with_gt_last() {
         let c = ctx();
         let zoo = &gced_qa::zoo::squad_models()[..1];
-        let rows = human_eval(c, zoo, Scale::smoke());
+        let rows = [
+            human_eval_model_row(c, &zoo[0], Scale::smoke()),
+            human_eval_gt_row(c, Scale::smoke()),
+        ];
         assert_eq!(rows.len(), 2);
         assert_eq!(rows.last().unwrap().source, "Ground-truth");
         for r in &rows {
@@ -856,12 +909,15 @@ mod tests {
     #[test]
     fn degradation_points_cover_deltas() {
         let c = ctx();
-        let zoo = &gced_qa::zoo::squad_models()[..1];
-        let series = degradation(c, zoo, &[0.0, 1.0]);
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].points.len(), 2);
-        let em0 = series[0].points[0].1;
-        let em1 = series[0].points[1].1;
+        let entry = &gced_qa::zoo::squad_models()[0];
+        let pred = predicted_evidences(c, entry);
+        let points: Vec<(f64, f64, f64)> = [0.0, 1.0]
+            .iter()
+            .map(|&delta| degradation_point(c, entry, &pred, delta))
+            .collect();
+        assert_eq!(points.len(), 2);
+        let em0 = points[0].1;
+        let em1 = points[1].1;
         assert!(
             em1 <= em0 + 10.0,
             "full substitution should not beat gt by much: {em0} -> {em1}"
@@ -880,6 +936,15 @@ mod tests {
             Some(&too_short),
             0..c.dataset.dev.len(),
         );
+    }
+
+    #[test]
+    fn paper_hybrid_follows_table_and_variant() {
+        assert_eq!(paper_hybrid(DatasetKind::Squad11, 0), 0.84);
+        assert_eq!(paper_hybrid(DatasetKind::Squad20, 0), 0.85);
+        assert_eq!(paper_hybrid(DatasetKind::TriviaWeb, 9), 0.85);
+        assert_eq!(paper_hybrid(DatasetKind::TriviaWiki, 9), 0.83);
+        assert_eq!(PAPER_ABLATION.len(), ablation_variants().len());
     }
 
     #[test]

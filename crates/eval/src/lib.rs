@@ -10,11 +10,13 @@
 //! * [`protocol`] — the evaluation protocol: per-group Krippendorff's α
 //!   (Table II), the < 0.7 per-item agreement filter, group averaging;
 //! * [`scale`] — experiment sizing via the `GCED_SCALE` env var;
-//! * [`experiments`] — runners regenerating Tables II–VIII and Fig. 7;
-//! * [`shard`] — dataset-level sharded runs of every experiment with
-//!   deterministic merge and a shared fit cache (the `gced` CLI's
-//!   backend);
-//! * [`tables`] — plain-text + TSV table rendering for the benches.
+//! * [`experiments`] — the shared [`ExperimentContext`] and the per-row
+//!   functions of Tables II, IV–VIII and Fig. 7, plus the published
+//!   reference figures;
+//! * [`shard`] — the experiment registry behind `gced run`: every table
+//!   and figure (Tables I–VIII, the design sweep, Fig. 7) as a sharded
+//!   run with deterministic merge and a shared fit cache;
+//! * [`tables`] — plain-text + TSV table rendering for the reports.
 
 pub mod experiments;
 pub mod protocol;

@@ -1,4 +1,5 @@
-//! The human-evaluation scoresheet (paper Table I).
+//! The human-evaluation scoresheet (paper Table I; `gced run table1`
+//! prints it).
 
 /// The three rated criteria.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,18 +56,6 @@ impl Criterion {
     }
 }
 
-/// Render Table I as text (printed by the agreement bench header).
-pub fn render_table1() -> String {
-    let mut out = String::from("Table I: human evaluation scoresheet\n");
-    for c in Criterion::all() {
-        out.push_str(&format!("{}\n", c.name()));
-        for (i, level) in c.levels().iter().enumerate() {
-            out.push_str(&format!("  ({}) {}\n", 5 - i, level));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,23 +65,6 @@ mod tests {
         assert_eq!(Criterion::all().len(), 3);
         for c in Criterion::all() {
             assert_eq!(c.levels().len(), 5);
-        }
-    }
-
-    #[test]
-    fn render_includes_all_scores() {
-        let t = render_table1();
-        for s in [
-            "(5)",
-            "(4)",
-            "(3)",
-            "(2)",
-            "(1)",
-            "Informativeness",
-            "Conciseness",
-            "Readability",
-        ] {
-            assert!(t.contains(s), "missing {s}");
         }
     }
 }

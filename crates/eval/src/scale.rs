@@ -2,8 +2,8 @@
 //!
 //! Paper-scale experiments (3,000 rated QA pairs per model per dataset,
 //! full Table III splits) are far beyond a laptop benchmark run, so every
-//! experiment takes a [`Scale`]. The default keeps `cargo bench` in the
-//! minutes range; `GCED_SCALE=full` approaches paper sample counts, and
+//! experiment takes a [`Scale`]. The default keeps a `gced run` table in
+//! the minutes range; `GCED_SCALE=full` approaches paper sample counts, and
 //! `GCED_SCALE=smoke` is for CI smoke tests.
 
 /// Sample sizes for one experiment run.

@@ -17,13 +17,22 @@
 //! and (b) the merge orders rows by global item index, erasing
 //! scheduling. The property tests in `tests/shard_properties.rs` pin
 //! both halves down.
+//!
+//! Every experiment is one [`Experiment`] entry of the [`EXPERIMENTS`]
+//! registry — name, help line, item count, header, and a runner over a
+//! shard's item range; one shared driver handles the rest, and the
+//! `gced` CLI's experiment list derives from the same table.
 
 use crate::experiments::{self, ExperimentContext};
+use crate::protocol::RatingProtocol;
+use crate::raters::RaterPanel;
+use crate::rubric::Criterion;
 use crate::scale::Scale;
 use crate::tables::{pct, score, TextTable};
 use gced::{Gced, GcedConfig};
 use gced_datasets::json::{self, Json};
 use gced_datasets::{generate, DatasetKind, GeneratorConfig, Grid, ShardSpec};
+use std::ops::Range;
 use std::path::Path;
 
 /// On-disk format version of [`ShardOutput`].
@@ -48,10 +57,8 @@ impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardError::UnknownExperiment(n) => {
-                write!(
-                    f,
-                    "unknown experiment {n:?} (expected one of {EXPERIMENTS:?})"
-                )
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+                write!(f, "unknown experiment {n:?} (expected one of {names:?})")
             }
             ShardError::Spec(m) => write!(f, "shard spec error: {m}"),
             ShardError::Format(m) => write!(f, "shard format error: {m}"),
@@ -112,44 +119,162 @@ pub fn scale_tag(scale: Scale) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Experiments
+// Experiment registry
 // ---------------------------------------------------------------------------
 
-/// Shardable experiments, by name:
-///
-/// * `table3` — dataset statistics (Table III); items are the four
-///   dataset kinds, `kind` is ignored.
-/// * `reduction` — ground-truth evidence distillation over the dev
-///   split of `kind` (the Sec. IV-D1 word-reduction statistic); items
-///   are dev examples, and each shard prepares only its slice of the
-///   dev [`ExperimentContext`] cache via
-///   [`ExperimentContext::prepare_with`].
-/// * `human_eval` — Tables IV/V; items are the baseline models of the
-///   kind's zoo plus a final ground-truth row.
-/// * `agreement` — Table II; items are the three rater groups (each
-///   row carries one group's per-criterion Krippendorff's α over the
-///   pooled mixed-quality item set).
-/// * `qa_augmentation` — Tables VI/VII; items are the zoo models, each
-///   row the model's base vs +GCED EM/F1 with paper references and the
-///   accuracy delta.
-/// * `ablation` — Table VIII; items are the component-knockout
-///   variants plus the full system.
-/// * `degradation` — Fig. 7; items form a (model × δ) [`Grid`], each
-///   cell one substitution-rate point of one model's curve.
-pub const EXPERIMENTS: &[&str] = &[
-    "table3",
-    "reduction",
-    "human_eval",
-    "agreement",
-    "qa_augmentation",
-    "ablation",
-    "degradation",
+/// One shardable experiment: its items, its table, and the runner that
+/// fills a shard's slice of them.
+pub struct Experiment {
+    /// CLI name (`gced run <name>`).
+    pub name: &'static str,
+    /// One-line description (the `gced` usage text lists it).
+    pub help: &'static str,
+    /// Published figures that have no column of their own, printed as
+    /// the report's last line (empty: none).
+    paper: &'static str,
+    /// True when the runner distills or predicts and therefore needs
+    /// the fitted pipeline.
+    pub needs_fit: bool,
+    /// Number of items of a run over a dataset kind at a scale.
+    n_items: fn(DatasetKind, Scale) -> usize,
+    /// Table header (one cell per column).
+    header: &'static [&'static str],
+    /// Produce the rows and metrics of a non-empty item range. Each
+    /// runner prepares only the ground-truth caches its items read, so
+    /// a shard's cost stays proportional to its share of the items.
+    run: fn(&mut ShardJob),
+}
+
+/// The experiment registry, in `gced` usage order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        help: "human-evaluation rubric (Table I); items = the criteria",
+        paper: "",
+        needs_fit: false,
+        n_items: |_, _| Criterion::all().len(),
+        header: &["Criterion", "5", "4", "3", "2", "1"],
+        run: run_table1,
+    },
+    Experiment {
+        name: "table3",
+        help: "dataset statistics (Table III); items = the dataset kinds",
+        paper: "",
+        needs_fit: false,
+        n_items: |_, _| DatasetKind::all().len(),
+        header: &[
+            "Dataset",
+            "Paper Train",
+            "Paper Dev",
+            "Gen Train",
+            "Gen Dev",
+            "Ctx words",
+            "Answerable",
+        ],
+        run: run_table3,
+    },
+    Experiment {
+        name: "reduction",
+        help: "gt evidence word reduction (Sec. IV-D1); items = dev examples",
+        paper: "mean gt word reduction 78.5% on SQuAD, 87.2% on TriviaQA",
+        needs_fit: true,
+        n_items: |_, scale| scale.dev,
+        header: &["Example", "Evidence tokens", "Reduction"],
+        run: run_reduction,
+    },
+    Experiment {
+        name: "human_eval",
+        help: "human evaluation (Tables IV/V); items = zoo models + gt row",
+        paper: "mean gt word reduction (dev_word_reduction) 78.5% on SQuAD, 87.2% on TriviaQA",
+        needs_fit: true,
+        n_items: |kind, _| experiments::zoo_for(kind).len() + 1,
+        header: &[
+            "Source",
+            "I",
+            "C",
+            "R",
+            "Hybrid",
+            "Rated",
+            "Discarded",
+            "Reduction",
+            "paper H",
+        ],
+        run: run_human_eval,
+    },
+    Experiment {
+        name: "agreement",
+        help: "inter-rater agreement (Table II); items = the rater groups",
+        paper: "items with per-item agreement < 0.7 are discarded (rated, discarded)",
+        needs_fit: true,
+        n_items: |_, _| RaterPanel::PAPER_GROUPS,
+        header: &[
+            "Group",
+            "alpha I",
+            "alpha C",
+            "alpha R",
+            "alpha Hybrid",
+            "paper I",
+            "paper C",
+            "paper R",
+            "paper Hybrid",
+        ],
+        run: run_agreement,
+    },
+    Experiment {
+        name: "qa_augmentation",
+        help: "QA models retrained on evidences (Tables VI/VII); items = models",
+        paper: "mean gain EM +3.5-4.1%, F1 +1.5-4.2% relative on SQuAD; ~+13-16 EM absolute on TriviaQA",
+        needs_fit: true,
+        n_items: |kind, _| experiments::zoo_for(kind).len(),
+        header: &[
+            "Model",
+            "Base EM",
+            "Base F1",
+            "+GCED EM",
+            "+GCED F1",
+            "Paper base",
+            "Paper +GCED",
+            "dF1",
+        ],
+        run: run_qa_augmentation,
+    },
+    Experiment {
+        name: "ablation",
+        help: "component knockouts (Table VIII); items = the variants",
+        paper: "",
+        needs_fit: true,
+        n_items: |_, _| experiments::ablation_variants().len(),
+        header: &[
+            "Sources", "I", "C", "R", "H", "EM", "F1", "paper H", "paper EM",
+        ],
+        run: run_ablation,
+    },
+    Experiment {
+        name: "design",
+        help: "grow order, clip protection, M, Eq. 5 weights; items = variants",
+        paper: "",
+        needs_fit: true,
+        n_items: |_, _| experiments::design_variants(0).len(),
+        header: &["Variant", "I", "C", "R", "H", "mean tokens"],
+        run: run_design,
+    },
+    Experiment {
+        name: "degradation",
+        help: "predicted-answer substitution (Fig. 7); items = model x delta",
+        paper: "",
+        needs_fit: true,
+        n_items: |kind, _| experiments::zoo_for(kind).len() * experiments::DEGRADATION_DELTAS.len(),
+        header: &["Model", "delta", "EM", "F1"],
+        run: run_degradation,
+    },
 ];
 
-/// True when an experiment distills or predicts and therefore needs
-/// the fitted pipeline (everything except the pure dataset statistics).
-pub fn needs_fit(experiment: &str) -> bool {
-    experiment != "table3"
+/// Look an experiment up by name.
+pub fn experiment(name: &str) -> Result<&'static Experiment, ShardError> {
+    EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .ok_or_else(|| ShardError::UnknownExperiment(name.to_string()))
 }
 
 /// Fingerprint of the fitted substrates a run depends on. Stored in
@@ -224,22 +349,12 @@ pub fn load_or_fit(
     }
 }
 
-/// Run one shard of a named experiment, fitting fresh in-process.
-pub fn run_shard(
-    experiment: &str,
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shard: ShardSpec,
-) -> Result<ShardOutput, ShardError> {
-    run_shard_cached(experiment, kind, scale, seed, shard, None)
-}
-
-/// [`run_shard`] through the shared fit cache: with `Some(path)`,
+/// Run one shard of a named experiment. With `fit_cache: Some(path)`,
 /// co-located shard workers fit the pipeline once and map the
-/// serialized artifact instead of re-fitting identical state per
-/// shard. Output is bit-identical either way.
-pub fn run_shard_cached(
+/// serialized artifact instead of re-fitting identical state per shard;
+/// with `None` the runner fits fresh (and only when its item range is
+/// non-empty). Output is bit-identical either way.
+pub fn run_shard(
     experiment: &str,
     kind: DatasetKind,
     scale: Scale,
@@ -247,64 +362,114 @@ pub fn run_shard_cached(
     shard: ShardSpec,
     fit_cache: Option<&Path>,
 ) -> Result<ShardOutput, ShardError> {
-    if !EXPERIMENTS.contains(&experiment) {
-        return Err(ShardError::UnknownExperiment(experiment.to_string()));
-    }
+    let exp = self::experiment(experiment)?;
     // Resolve the cache before running so an unusable artifact fails
-    // loudly up front; without a cache path each runner fits lazily
-    // (and only when its shard range is non-empty).
+    // loudly up front.
     let fit = match fit_cache {
-        Some(path) if needs_fit(experiment) => Some(load_or_fit(kind, scale, seed, Some(path))?),
+        Some(path) if exp.needs_fit => Some(load_or_fit(kind, scale, seed, Some(path))?),
         _ => None,
     };
-    run_shard_with_fit(experiment, kind, scale, seed, shard, fit)
+    Ok(exp.run_shard(kind, scale, seed, shard, fit))
 }
 
-/// The core dispatch: `fit` carries an already-fitted pipeline (from
-/// the cache file or an in-process run's shared fit), or `None` to fit
-/// fresh inside the runner.
-fn run_shard_with_fit(
-    experiment: &str,
+impl Experiment {
+    /// The shared driver: size the run, hand the runner its item range
+    /// (skipping it for an empty shard), and assemble the output.
+    /// `fit` carries an already-fitted pipeline, or `None` to fit fresh
+    /// inside the runner.
+    fn run_shard(
+        &self,
+        kind: DatasetKind,
+        scale: Scale,
+        seed: u64,
+        shard: ShardSpec,
+        fit: Option<Gced>,
+    ) -> ShardOutput {
+        let n_items = (self.n_items)(kind, scale);
+        let mut job = ShardJob {
+            kind,
+            scale,
+            seed,
+            shard,
+            range: shard.range(n_items),
+            fit,
+            rows: Vec::new(),
+            metrics: Vec::new(),
+        };
+        if !job.range.is_empty() {
+            (self.run)(&mut job);
+        }
+        ShardOutput {
+            experiment: self.name.to_string(),
+            kind,
+            seed,
+            scale_tag: scale_tag(scale),
+            shard,
+            n_items,
+            header: self.header.iter().map(|h| h.to_string()).collect(),
+            rows: job.rows,
+            metrics: job.metrics,
+        }
+    }
+}
+
+/// What a runner works on: the run identity, its shard and (non-empty)
+/// item range, and the rows and metrics it emits.
+struct ShardJob {
     kind: DatasetKind,
     scale: Scale,
     seed: u64,
     shard: ShardSpec,
+    range: Range<usize>,
     fit: Option<Gced>,
-) -> Result<ShardOutput, ShardError> {
-    match experiment {
-        "table3" => Ok(run_table3_shard(scale, seed, shard)),
-        "reduction" => Ok(run_reduction_shard(kind, scale, seed, shard, fit)),
-        "human_eval" => Ok(run_human_eval_shard(kind, scale, seed, shard, fit)),
-        "agreement" => Ok(run_agreement_shard(kind, scale, seed, shard, fit)),
-        "qa_augmentation" => Ok(run_qa_augmentation_shard(kind, scale, seed, shard, fit)),
-        "ablation" => Ok(run_ablation_shard(kind, scale, seed, shard, fit)),
-        "degradation" => Ok(run_degradation_shard(kind, scale, seed, shard, fit)),
-        other => Err(ShardError::UnknownExperiment(other.to_string())),
+    rows: Vec<ShardRow>,
+    metrics: Vec<ShardMetric>,
+}
+
+impl ShardJob {
+    /// Prepare the run's [`ExperimentContext`] around the resolved fit,
+    /// with the train/dev ground-truth caches the runner reads (see
+    /// [`ExperimentContext::prepare_fitted`]).
+    fn context(&mut self, train: Option<ShardSpec>, dev: Option<ShardSpec>) -> ExperimentContext {
+        let fit = self.fit.take();
+        ExperimentContext::prepare_fitted(self.kind, self.scale, self.seed, fit, train, dev)
+    }
+
+    fn row(&mut self, item: usize, cells: Vec<String>) {
+        self.rows.push(ShardRow { item, cells });
+    }
+
+    fn metric(&mut self, item: usize, name: &str, value: f64) {
+        self.metrics.push(ShardMetric {
+            item,
+            name: name.to_string(),
+            value,
+        });
     }
 }
 
-fn run_table3_shard(scale: Scale, seed: u64, shard: ShardSpec) -> ShardOutput {
-    let kinds = DatasetKind::all();
-    let header = vec![
-        "Dataset".to_string(),
-        "Paper Train".to_string(),
-        "Paper Dev".to_string(),
-        "Gen Train".to_string(),
-        "Gen Dev".to_string(),
-        "Ctx words".to_string(),
-        "Answerable".to_string(),
-    ];
-    let mut rows = Vec::new();
-    let mut metrics = Vec::new();
-    for item in shard.range(kinds.len()) {
-        let kind = kinds[item];
+/// Table I: one row per criterion, its level descriptions from 5 down
+/// to 1.
+fn run_table1(job: &mut ShardJob) {
+    for item in job.range.clone() {
+        let criterion = Criterion::all()[item];
+        let mut cells = vec![criterion.name().to_string()];
+        cells.extend(criterion.levels().iter().map(|l| l.to_string()));
+        job.row(item, cells);
+    }
+}
+
+/// Table III: one row per dataset kind (the run's own kind is unused).
+fn run_table3(job: &mut ShardJob) {
+    for item in job.range.clone() {
+        let kind = DatasetKind::all()[item];
         let (pt, pd) = kind.paper_sizes();
         let ds = generate(
             kind,
             GeneratorConfig {
-                train: scale.train,
-                dev: scale.dev,
-                seed,
+                train: job.scale.train,
+                dev: job.scale.dev,
+                seed: job.seed,
             },
         );
         let answerable = ds
@@ -316,9 +481,9 @@ fn run_table3_shard(scale: Scale, seed: u64, shard: ShardSpec) -> ShardOutput {
             .count() as f64
             / (ds.train.len() + ds.dev.len()) as f64;
         let ctx_words = ds.mean_context_words();
-        rows.push(ShardRow {
+        job.row(
             item,
-            cells: vec![
+            vec![
                 kind.name().to_string(),
                 pt.to_string(),
                 pd.to_string(),
@@ -327,455 +492,221 @@ fn run_table3_shard(scale: Scale, seed: u64, shard: ShardSpec) -> ShardOutput {
                 format!("{ctx_words:.0}"),
                 format!("{:.0}%", answerable * 100.0),
             ],
-        });
-        metrics.push(ShardMetric {
-            item,
-            name: "ctx_words".to_string(),
-            value: ctx_words,
-        });
-        metrics.push(ShardMetric {
-            item,
-            name: "answerable".to_string(),
-            value: answerable,
-        });
-    }
-    ShardOutput {
-        experiment: "table3".to_string(),
-        kind: DatasetKind::Squad11,
-        seed,
-        scale_tag: scale_tag(scale),
-        shard,
-        n_items: kinds.len(),
-        header,
-        rows,
-        metrics,
+        );
+        job.metric(item, "ctx_words", ctx_words);
+        job.metric(item, "answerable", answerable);
     }
 }
 
-fn run_reduction_shard(
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shard: ShardSpec,
-    fit: Option<Gced>,
-) -> ShardOutput {
-    // Dev-only: the train gt cache is never read here, so skip it.
-    let ctx = ExperimentContext::prepare_fitted(kind, scale, seed, fit, None, Some(shard));
-    let n_items = ctx.dataset.dev.len();
-    let header = vec![
-        "Example".to_string(),
-        "Evidence tokens".to_string(),
-        "Reduction".to_string(),
-    ];
-    let mut rows = Vec::new();
-    let mut metrics = Vec::new();
-    for item in shard.range(n_items) {
-        let ex = &ctx.dataset.dev.examples[item];
+/// Sec. IV-D1: one row per dev example; the shard distills only its
+/// own slice of the dev cache and skips the train cache.
+fn run_reduction(job: &mut ShardJob) {
+    let ctx = job.context(None, Some(job.shard));
+    for item in job.range.clone() {
         // Unanswerable / failed examples produce no row, so shards may
         // contribute fewer rows than items — the merge allows that.
         if let Some(d) = &ctx.gt_dev[item] {
-            rows.push(ShardRow {
+            job.row(
                 item,
-                cells: vec![
-                    ex.id.clone(),
+                vec![
+                    ctx.dataset.dev.examples[item].id.clone(),
                     d.evidence_tokens.len().to_string(),
                     format!("{:.1}%", d.word_reduction * 100.0),
                 ],
-            });
-            metrics.push(ShardMetric {
-                item,
-                name: "word_reduction".to_string(),
-                value: d.word_reduction,
-            });
+            );
+            job.metric(item, "word_reduction", d.word_reduction);
         }
     }
-    ShardOutput {
-        experiment: "reduction".to_string(),
-        kind,
-        seed,
-        scale_tag: scale_tag(scale),
-        shard,
-        n_items,
-        header,
-        rows,
-        metrics,
-    }
 }
 
-/// Assemble a [`ShardOutput`] (shared tail of the model-grid runners).
-#[allow(clippy::too_many_arguments)]
-fn shard_output(
-    experiment: &str,
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shard: ShardSpec,
-    n_items: usize,
-    header: &[&str],
-    rows: Vec<ShardRow>,
-    metrics: Vec<ShardMetric>,
-) -> ShardOutput {
-    ShardOutput {
-        experiment: experiment.to_string(),
-        kind,
-        seed,
-        scale_tag: scale_tag(scale),
-        shard,
-        n_items,
-        header: header.iter().map(|h| h.to_string()).collect(),
-        rows,
-        metrics,
-    }
-}
-
-/// Tables IV/V: items are the kind's zoo models plus a final
-/// ground-truth row. Only the shard owning the ground-truth item pays
-/// for the dev evidence cache.
-fn run_human_eval_shard(
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shard: ShardSpec,
-    fit: Option<Gced>,
-) -> ShardOutput {
-    let zoo = experiments::zoo_for(kind);
-    let n_items = zoo.len() + 1;
-    let header = [
-        "Source",
-        "I",
-        "C",
-        "R",
-        "Hybrid",
-        "Rated",
-        "Discarded",
-        "Reduction",
-    ];
-    let range = shard.range(n_items);
-    let mut rows = Vec::new();
-    let mut metrics = Vec::new();
-    if !range.is_empty() {
-        let owns_gt = range.contains(&zoo.len());
-        let ctx = ExperimentContext::prepare_fitted(
-            kind,
-            scale,
-            seed,
-            fit,
-            None,
-            owns_gt.then(ShardSpec::single),
+/// Tables IV/V: the kind's zoo models plus a final ground-truth row,
+/// next to the published hybrid score. Only the shard owning the
+/// ground-truth row pays for the dev evidence cache; that row also
+/// carries the mean reduction over the whole dev cache.
+fn run_human_eval(job: &mut ShardJob) {
+    let zoo = experiments::zoo_for(job.kind);
+    let owns_gt = job.range.contains(&zoo.len());
+    let ctx = job.context(None, owns_gt.then(ShardSpec::single));
+    for item in job.range.clone() {
+        let row = match zoo.get(item) {
+            Some(entry) => experiments::human_eval_model_row(&ctx, entry, job.scale),
+            None => experiments::human_eval_gt_row(&ctx, job.scale),
+        };
+        job.row(
+            item,
+            vec![
+                row.source.clone(),
+                score(row.outcome.informativeness),
+                score(row.outcome.conciseness),
+                score(row.outcome.readability),
+                score(row.outcome.hybrid),
+                row.outcome.rated.to_string(),
+                row.outcome.discarded.to_string(),
+                format!("{:.1}%", row.word_reduction * 100.0),
+                score(experiments::paper_hybrid(job.kind, item)),
+            ],
         );
-        for item in range {
-            let row = if item < zoo.len() {
-                experiments::human_eval_model_row(&ctx, &zoo[item], scale)
-            } else {
-                experiments::human_eval_gt_row(&ctx, scale)
-            };
-            rows.push(ShardRow {
-                item,
-                cells: vec![
-                    row.source.clone(),
-                    score(row.outcome.informativeness),
-                    score(row.outcome.conciseness),
-                    score(row.outcome.readability),
-                    score(row.outcome.hybrid),
-                    row.outcome.rated.to_string(),
-                    row.outcome.discarded.to_string(),
-                    format!("{:.1}%", row.word_reduction * 100.0),
-                ],
-            });
-            metrics.push(ShardMetric {
-                item,
-                name: "hybrid".to_string(),
-                value: row.outcome.hybrid,
-            });
-            metrics.push(ShardMetric {
-                item,
-                name: "word_reduction".to_string(),
-                value: row.word_reduction,
-            });
+        job.metric(item, "hybrid", row.outcome.hybrid);
+        job.metric(item, "word_reduction", row.word_reduction);
+        if item == zoo.len() {
+            job.metric(item, "dev_word_reduction", ctx.mean_word_reduction());
         }
     }
-    shard_output(
-        "human_eval",
-        kind,
-        scale,
-        seed,
-        shard,
-        n_items,
-        &header,
-        rows,
-        metrics,
-    )
 }
 
-/// Table II: items are the three rater groups; each row is one group's
-/// per-criterion Krippendorff's α over the pooled mixed-quality item
-/// set. Every shard reconstructs the (deterministic) pooled ratings and
-/// emits only the cells of the groups it owns.
-fn run_agreement_shard(
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shard: ShardSpec,
-    fit: Option<Gced>,
-) -> ShardOutput {
-    let n_items = crate::raters::RaterPanel::PAPER_GROUPS;
-    let header = ["Group", "alpha I", "alpha C", "alpha R", "alpha Hybrid"];
-    let range = shard.range(n_items);
-    let mut rows = Vec::new();
-    let mut metrics = Vec::new();
-    if !range.is_empty() {
-        // The pooled sources read the dev gt cache in full.
-        let ctx = ExperimentContext::prepare_fitted(
-            kind,
-            scale,
-            seed,
-            fit,
-            None,
-            Some(ShardSpec::single()),
-        );
-        let weak = &experiments::zoo_for(kind)[0];
-        let outcome = experiments::agreement_study(&ctx, weak, scale);
-        let metric_names = ["alpha_i", "alpha_c", "alpha_r", "alpha_hybrid"];
-        for item in range {
-            // Direct index: a panel whose group count drifts from
-            // PAPER_GROUPS must fail loudly, not emit a short table.
-            let alphas = outcome.alpha[item];
-            let mut cells = vec![format!("Group {}", item + 1)];
-            for (name, a) in metric_names.iter().zip(alphas) {
-                match a {
-                    Some(a) => {
-                        cells.push(score(a));
-                        metrics.push(ShardMetric {
-                            item,
-                            name: name.to_string(),
-                            value: a,
-                        });
-                    }
-                    None => cells.push("n/a".to_string()),
+/// Table II: one row per rater group — its per-criterion Krippendorff's
+/// α over the pooled mixed-quality item set, next to the published α.
+/// Every shard reconstructs the (deterministic) pooled ratings and
+/// emits only the groups it owns; each row carries the pooled item
+/// counts.
+fn run_agreement(job: &mut ShardJob) {
+    // The pooled sources read the dev gt cache in full.
+    let ctx = job.context(None, Some(ShardSpec::single()));
+    let weak = &experiments::zoo_for(job.kind)[0];
+    let items = experiments::agreement_items(&ctx, weak, job.scale);
+    let outcome = RatingProtocol::paper(ctx.seed).run(&items);
+    let metric_names = ["alpha_i", "alpha_c", "alpha_r", "alpha_hybrid"];
+    for item in job.range.clone() {
+        // Direct index: a panel whose group count drifts from
+        // PAPER_GROUPS must fail loudly, not emit a short table.
+        let mut cells = vec![format!("Group {}", item + 1)];
+        for (name, a) in metric_names.iter().zip(outcome.alpha[item]) {
+            match a {
+                Some(a) => {
+                    cells.push(score(a));
+                    job.metric(item, name, a);
                 }
+                None => cells.push("n/a".to_string()),
             }
-            rows.push(ShardRow { item, cells });
         }
+        cells.extend(experiments::PAPER_ALPHA[item].map(score));
+        job.row(item, cells);
+        job.metric(item, "rated", outcome.rated as f64);
+        job.metric(item, "discarded", outcome.discarded as f64);
     }
-    shard_output(
-        "agreement",
-        kind,
-        scale,
-        seed,
-        shard,
-        n_items,
-        &header,
-        rows,
-        metrics,
-    )
 }
 
-/// Tables VI/VII: items are the kind's zoo models; each row the
-/// model's measured base vs +GCED EM/F1, the published reference
-/// numbers, and the F1 delta.
-fn run_qa_augmentation_shard(
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shard: ShardSpec,
-    fit: Option<Gced>,
-) -> ShardOutput {
-    let zoo = experiments::zoo_for(kind);
-    let n_items = zoo.len();
-    let header = [
-        "Model",
-        "Base EM",
-        "Base F1",
-        "+GCED EM",
-        "+GCED F1",
-        "Paper base",
-        "Paper +GCED",
-        "dF1",
-    ];
-    let range = shard.range(n_items);
-    let mut rows = Vec::new();
-    let mut metrics = Vec::new();
-    if !range.is_empty() {
-        // Evidence splits come from the full gt caches.
-        let ctx = ExperimentContext::prepare_fitted(
-            kind,
-            scale,
-            seed,
-            fit,
-            Some(ShardSpec::single()),
-            Some(ShardSpec::single()),
+/// Tables VI/VII: one row per zoo model — measured base vs +GCED EM/F1,
+/// the published reference numbers, and the F1 delta.
+fn run_qa_augmentation(job: &mut ShardJob) {
+    // Evidence splits come from the full gt caches.
+    let all = Some(ShardSpec::single());
+    let ctx = job.context(all, all);
+    let zoo = experiments::zoo_for(job.kind);
+    let ev_train = ctx.evidence_train();
+    let ev_dev = ctx.evidence_dev();
+    for item in job.range.clone() {
+        let row = experiments::qa_augmentation_row(&ctx, &zoo[item], &ev_train, &ev_dev);
+        let f1_gain = row.gced.f1 - row.base.f1;
+        job.row(
+            item,
+            vec![
+                row.model.clone(),
+                pct(row.base.em),
+                pct(row.base.f1),
+                pct(row.gced.em),
+                pct(row.gced.f1),
+                format!("{}/{}", pct(row.paper_base.0), pct(row.paper_base.1)),
+                format!("{}/{}", pct(row.paper_gced.0), pct(row.paper_gced.1)),
+                format!("{f1_gain:+.1}"),
+            ],
         );
-        let ev_train = ctx.evidence_train();
-        let ev_dev = ctx.evidence_dev();
-        for item in range {
-            let row = experiments::qa_augmentation_row(&ctx, &zoo[item], &ev_train, &ev_dev);
-            let f1_gain = row.gced.f1 - row.base.f1;
-            rows.push(ShardRow {
-                item,
-                cells: vec![
-                    row.model.clone(),
-                    pct(row.base.em),
-                    pct(row.base.f1),
-                    pct(row.gced.em),
-                    pct(row.gced.f1),
-                    format!("{}/{}", pct(row.paper_base.0), pct(row.paper_base.1)),
-                    format!("{}/{}", pct(row.paper_gced.0), pct(row.paper_gced.1)),
-                    format!("{f1_gain:+.1}"),
-                ],
-            });
-            metrics.push(ShardMetric {
-                item,
-                name: "base_f1".to_string(),
-                value: row.base.f1,
-            });
-            metrics.push(ShardMetric {
-                item,
-                name: "gced_f1".to_string(),
-                value: row.gced.f1,
-            });
-            metrics.push(ShardMetric {
-                item,
-                name: "f1_gain".to_string(),
-                value: f1_gain,
-            });
-        }
+        job.metric(item, "base_f1", row.base.f1);
+        job.metric(item, "gced_f1", row.gced.f1);
+        job.metric(item, "f1_gain", f1_gain);
+        job.metric(item, "em_gain", row.gced.em - row.base.em);
     }
-    shard_output(
-        "qa_augmentation",
-        kind,
-        scale,
-        seed,
-        shard,
-        n_items,
-        &header,
-        rows,
-        metrics,
-    )
 }
 
-/// Table VIII: items are the ablation variants (component knockouts
-/// plus the full system, in [`experiments::ablation_variants`] order).
-fn run_ablation_shard(
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shard: ShardSpec,
-    fit: Option<Gced>,
-) -> ShardOutput {
+/// Table VIII: one row per [`experiments::ablation_variants`] entry,
+/// next to the published (SQuAD-2.0) H and EM.
+fn run_ablation(job: &mut ShardJob) {
+    // Each variant re-distills both splits itself; the gt caches are
+    // never read.
+    let ctx = job.context(None, None);
     let variants = experiments::ablation_variants();
-    let n_items = variants.len();
-    let header = ["Sources", "I", "C", "R", "H", "EM", "F1"];
-    let range = shard.range(n_items);
-    let mut rows = Vec::new();
-    let mut metrics = Vec::new();
-    if !range.is_empty() {
-        // Each variant re-distills both splits itself; the gt caches
-        // are never read.
-        let ctx = ExperimentContext::prepare_fitted(kind, scale, seed, fit, None, None);
-        let bert = &experiments::zoo_for(kind)[0];
-        for item in range {
-            let (label, ablation) = variants[item].clone();
-            let row = experiments::ablation_row(&ctx, bert, scale, &label, ablation);
-            rows.push(ShardRow {
-                item,
-                cells: vec![
-                    row.label.clone(),
-                    score(row.outcome.informativeness),
-                    score(row.outcome.conciseness),
-                    score(row.outcome.readability),
-                    score(row.outcome.hybrid),
-                    pct(row.em),
-                    pct(row.f1),
-                ],
-            });
-            metrics.push(ShardMetric {
-                item,
-                name: "hybrid".to_string(),
-                value: row.outcome.hybrid,
-            });
-            metrics.push(ShardMetric {
-                item,
-                name: "f1".to_string(),
-                value: row.f1,
-            });
-        }
+    let bert = &experiments::zoo_for(job.kind)[0];
+    for item in job.range.clone() {
+        let (label, ablation) = variants[item].clone();
+        let row = experiments::ablation_row(&ctx, bert, job.scale, &label, ablation);
+        let (paper_h, paper_em) = experiments::PAPER_ABLATION[item];
+        job.row(
+            item,
+            vec![
+                row.label.clone(),
+                score(row.outcome.informativeness),
+                score(row.outcome.conciseness),
+                score(row.outcome.readability),
+                score(row.outcome.hybrid),
+                pct(row.em),
+                pct(row.f1),
+                score(paper_h),
+                pct(paper_em),
+            ],
+        );
+        job.metric(item, "hybrid", row.outcome.hybrid);
+        job.metric(item, "f1", row.f1);
     }
-    shard_output(
-        "ablation", kind, scale, seed, shard, n_items, &header, rows, metrics,
-    )
+}
+
+/// The design-choice sweep: one row per
+/// [`experiments::design_variants`] entry.
+fn run_design(job: &mut ShardJob) {
+    // Distills the rated pool itself; the gt caches are never read.
+    let ctx = job.context(None, None);
+    let variants = experiments::design_variants(job.seed);
+    for item in job.range.clone() {
+        let (label, config) = variants[item].clone();
+        let (outcome, mean_tokens) = experiments::design_row(&ctx, job.scale, label, config);
+        job.row(
+            item,
+            vec![
+                label.to_string(),
+                score(outcome.informativeness),
+                score(outcome.conciseness),
+                score(outcome.readability),
+                score(outcome.hybrid),
+                format!("{mean_tokens:.1}"),
+            ],
+        );
+        job.metric(item, "hybrid", outcome.hybrid);
+        job.metric(item, "mean_tokens", mean_tokens);
+    }
 }
 
 /// Fig. 7: items form a (model × δ) [`Grid`]. A shard builds the
 /// expensive per-model artifacts (trained baseline, predicted-answer
 /// evidences) once per grid row it touches, then evaluates only its
 /// own cells.
-fn run_degradation_shard(
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shard: ShardSpec,
-    fit: Option<Gced>,
-) -> ShardOutput {
-    let zoo = experiments::zoo_for(kind);
+fn run_degradation(job: &mut ShardJob) {
+    // Mixing substitutes into the full gt evidence caches.
+    let all = Some(ShardSpec::single());
+    let ctx = job.context(all, all);
+    let zoo = experiments::zoo_for(job.kind);
     let deltas = experiments::DEGRADATION_DELTAS;
     let grid = Grid::new(zoo.len(), deltas.len());
-    let n_items = grid.len();
-    let header = ["Model", "delta", "EM", "F1"];
-    let range = shard.range(n_items);
-    let mut rows = Vec::new();
-    let mut metrics = Vec::new();
-    if !range.is_empty() {
-        // Mixing substitutes into the full gt evidence caches.
-        let ctx = ExperimentContext::prepare_fitted(
-            kind,
-            scale,
-            seed,
-            fit,
-            Some(ShardSpec::single()),
-            Some(ShardSpec::single()),
-        );
-        for model_idx in grid.rows_of(&range) {
-            let entry = &zoo[model_idx];
-            let pred = experiments::predicted_evidences(&ctx, entry);
-            for (col, &delta) in deltas.iter().enumerate() {
-                let item = grid.item(model_idx, col);
-                if !range.contains(&item) {
-                    continue;
-                }
-                let (delta, em, f1) = experiments::degradation_point(&ctx, entry, &pred, delta);
-                rows.push(ShardRow {
-                    item,
-                    cells: vec![
-                        entry.profile.name.clone(),
-                        format!("{delta:.1}"),
-                        pct(em),
-                        pct(f1),
-                    ],
-                });
-                metrics.push(ShardMetric {
-                    item,
-                    name: "em".to_string(),
-                    value: em,
-                });
-                metrics.push(ShardMetric {
-                    item,
-                    name: "f1".to_string(),
-                    value: f1,
-                });
+    for model_idx in grid.rows_of(&job.range) {
+        let entry = &zoo[model_idx];
+        let pred = experiments::predicted_evidences(&ctx, entry);
+        for (col, &delta) in deltas.iter().enumerate() {
+            let item = grid.item(model_idx, col);
+            if !job.range.contains(&item) {
+                continue;
             }
+            let (delta, em, f1) = experiments::degradation_point(&ctx, entry, &pred, delta);
+            job.row(
+                item,
+                vec![
+                    entry.profile.name.clone(),
+                    format!("{delta:.1}"),
+                    pct(em),
+                    pct(f1),
+                ],
+            );
+            job.metric(item, "em", em);
+            job.metric(item, "f1", f1);
         }
     }
-    shard_output(
-        "degradation",
-        kind,
-        scale,
-        seed,
-        shard,
-        n_items,
-        &header,
-        rows,
-        metrics,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1094,7 +1025,8 @@ pub fn merge(outputs: &[ShardOutput]) -> Result<MergedRun, ShardError> {
 
 impl MergedRun {
     /// Render the canonical run report: header line, aligned table, TSV
-    /// block, and per-metric summaries. The text depends only on merged
+    /// block, per-metric summaries, and the experiment's `paper:` line
+    /// when it has one. The text depends only on merged
     /// content, never on shard count or completion order — the CI
     /// shard-parity step byte-compares this across shardings.
     pub fn render(&self) -> String {
@@ -1138,6 +1070,10 @@ impl MergedRun {
                 values.len()
             ));
         }
+        match experiment(&self.experiment) {
+            Ok(e) if !e.paper.is_empty() => out.push_str(&format!("paper: {}\n", e.paper)),
+            _ => {}
+        }
         out
     }
 }
@@ -1153,32 +1089,18 @@ pub fn run_sharded_in_process(
     scale: Scale,
     seed: u64,
     shards: usize,
-) -> Result<MergedRun, ShardError> {
-    run_sharded_in_process_cached(experiment, kind, scale, seed, shards, None)
-}
-
-/// [`run_sharded_in_process`] with an optional fit-cache path.
-pub fn run_sharded_in_process_cached(
-    experiment: &str,
-    kind: DatasetKind,
-    scale: Scale,
-    seed: u64,
-    shards: usize,
     fit_cache: Option<&Path>,
 ) -> Result<MergedRun, ShardError> {
-    if !EXPERIMENTS.contains(&experiment) {
-        return Err(ShardError::UnknownExperiment(experiment.to_string()));
-    }
-    let fit = if needs_fit(experiment) {
+    let exp = self::experiment(experiment)?;
+    let fit = if exp.needs_fit {
         Some(load_or_fit(kind, scale, seed, fit_cache)?)
     } else {
         None
     };
     let specs = ShardSpec::all(shards);
-    let outputs: Vec<Result<ShardOutput, ShardError>> = gced_par::par_map(&specs, |_, spec| {
-        run_shard_with_fit(experiment, kind, scale, seed, *spec, fit.clone())
+    let outputs: Vec<ShardOutput> = gced_par::par_map(&specs, |_, spec| {
+        exp.run_shard(kind, scale, seed, *spec, fit.clone())
     });
-    let outputs = outputs.into_iter().collect::<Result<Vec<_>, _>>()?;
     merge(&outputs)
 }
 
@@ -1324,7 +1246,7 @@ mod tests {
         let scale = Scale::smoke();
         let outputs: Vec<ShardOutput> = ShardSpec::all(3)
             .into_iter()
-            .map(|s| run_shard("table3", DatasetKind::Squad11, scale, 42, s).unwrap())
+            .map(|s| run_shard("table3", DatasetKind::Squad11, scale, 42, s, None).unwrap())
             .collect();
         let merged = merge(&outputs).unwrap();
         let single = merge(&[run_shard(
@@ -1333,11 +1255,41 @@ mod tests {
             scale,
             42,
             ShardSpec::single(),
+            None,
         )
         .unwrap()])
         .unwrap();
         assert_eq!(merged.render(), single.render());
         assert_eq!(merged.rows.len(), 4);
+    }
+
+    #[test]
+    fn table1_lists_every_rubric_level() {
+        let out = run_shard(
+            "table1",
+            DatasetKind::Squad11,
+            Scale::smoke(),
+            42,
+            ShardSpec::single(),
+            None,
+        )
+        .unwrap();
+        let text = merge(&[out]).unwrap().render();
+        for c in Criterion::all() {
+            assert!(text.contains(c.name()), "missing {}", c.name());
+            for level in c.levels() {
+                assert!(text.contains(level), "missing {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_headers_nonempty() {
+        for e in EXPERIMENTS {
+            assert_eq!(EXPERIMENTS.iter().filter(|o| o.name == e.name).count(), 1);
+            assert!(!e.header.is_empty(), "{} has no header", e.name);
+            assert!(experiment(e.name).is_ok());
+        }
     }
 
     #[test]
@@ -1348,6 +1300,7 @@ mod tests {
             Scale::smoke(),
             42,
             ShardSpec::single(),
+            None,
         )
         .unwrap_err();
         assert!(err.to_string().contains("unknown experiment"));

@@ -1,4 +1,4 @@
-//! Plain-text and TSV table rendering for the benches.
+//! Plain-text and TSV table rendering for the experiment reports.
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]

@@ -182,8 +182,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker panicked")]
     fn worker_panics_propagate() {
+        // A private pool: on the global one a concurrently running test
+        // may hold the poster lock, and the busy fallback then runs the
+        // closure inline, so its raw panic escapes without the wrapper
+        // (pinned by `pool::tests::busy_pool_runs_inline_with_raw_panic`).
+        let pool = WorkerPool::new(1);
         let items = [1u8, 2, 3, 4];
-        let _ = par_map_with_threads(
+        let _ = pool.par_map_with_threads(
             &items,
             2,
             || (),

@@ -397,6 +397,31 @@ mod tests {
     }
 
     #[test]
+    fn busy_pool_runs_inline_with_raw_panic() {
+        // While another poster holds the pool, a job runs inline on the
+        // caller, and a panic in it propagates with the closure's own
+        // payload — no `par_map worker panicked` wrapper.
+        let pool = WorkerPool::new(1);
+        let held = pool.poster.lock().unwrap();
+        let items: Vec<u32> = (0..8).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.par_map_with_threads(
+                &items,
+                2,
+                || (),
+                |(), _, &x| {
+                    assert!(x != 3, "boom");
+                    x
+                },
+            )
+        }));
+        drop(held);
+        let msg = panic_text(&*result.expect_err("panic must propagate"));
+        assert!(msg.contains("boom"), "msg: {msg}");
+        assert!(!msg.contains("par_map worker panicked"), "msg: {msg}");
+    }
+
+    #[test]
     fn zero_extra_runs_on_caller() {
         let pool = WorkerPool::new(1);
         // threads=1 → sequential fast path, no job posted.

@@ -46,22 +46,21 @@ fn main() {
     }
 
     // One Table VI row: BERT-large baseline vs +GCED.
-    let bert = &zoo::squad_models()[..1];
+    let bert = &zoo::squad_models()[0];
     println!("evaluating BERT-large baseline vs +GCED ...");
-    let rows = experiments::qa_augmentation(&ctx, bert);
-    for r in &rows {
-        println!(
-            "{}: baseline EM/F1 = {:.1}/{:.1}  |  +GCED EM/F1 = {:.1}/{:.1}  \
+    let r =
+        experiments::qa_augmentation_row(&ctx, bert, &ctx.evidence_train(), &ctx.evidence_dev());
+    println!(
+        "{}: baseline EM/F1 = {:.1}/{:.1}  |  +GCED EM/F1 = {:.1}/{:.1}  \
              (paper: {:.1}/{:.1} -> {:.1}/{:.1})",
-            r.model,
-            r.base.em,
-            r.base.f1,
-            r.gced.em,
-            r.gced.f1,
-            r.paper_base.0,
-            r.paper_base.1,
-            r.paper_gced.0,
-            r.paper_gced.1
-        );
-    }
+        r.model,
+        r.base.em,
+        r.base.f1,
+        r.gced.em,
+        r.gced.f1,
+        r.paper_base.0,
+        r.paper_base.1,
+        r.paper_gced.0,
+        r.paper_gced.1
+    );
 }

@@ -19,14 +19,14 @@
 //!   format the server uses; CI byte-compares the two.
 //! * `fit` — prebuild a fit-cache artifact and exit.
 //!
-//! Scale and seed resolve like the bench targets (`GCED_SCALE`,
-//! `GCED_SEED`), overridable with `--scale` / `--seed`.
+//! Scale and seed resolve from `GCED_SCALE` / `GCED_SEED`, overridable
+//! with `--scale` / `--seed`.
 
 use gced_bench::gate;
 use gced_datasets::{DatasetKind, ShardSpec};
 use gced_eval::shard::{
-    fit_fingerprint, load_or_fit, merge, needs_fit, run_shard_cached,
-    run_sharded_in_process_cached, ShardOutput,
+    experiment, fit_fingerprint, load_or_fit, merge, run_shard, run_sharded_in_process, Experiment,
+    ShardOutput, EXPERIMENTS,
 };
 use gced_eval::Scale;
 use std::path::{Path, PathBuf};
@@ -63,18 +63,9 @@ USAGE:
   gced analyze [--root DIR] [--json] [--out PATH]
 
 EXPERIMENTS:
-  table3           dataset statistics (Table III); items = dataset kinds
-  reduction        ground-truth evidence distillation over the dev
-                   split; items = dev examples
-  human_eval       human evaluation of distilled evidences (Tables
-                   IV/V); items = zoo models + a ground-truth row
-  agreement        inter-rater agreement (Table II); items = the three
-                   rater groups
-  qa_augmentation  QA models retrained on evidences (Tables VI/VII);
-                   items = zoo models
-  ablation         component knockouts (Table VIII); items = variants
-  degradation      predicted-answer substitution curves (Fig. 7);
-                   items = the (model x delta) grid
+@EXPERIMENTS@
+  Reports print the published figures next to the measured ones where
+  the paper has them: as paper columns, or as a closing `paper:` line.
 
 KINDS: squad11 (default), squad20, trivia-web, trivia-wiki
 
@@ -85,9 +76,9 @@ FIT CACHE:
   worker processes fits once up front and hands every shard the
   artifact; without the flag a scratch artifact is used and removed
   with the shard files. `serve` and `distill` warm-start from the
-  same artifact; `fit` prebuilds one and exits. The bench table
-  runners read the GCED_FIT_CACHE env var (a directory of per-
-  fingerprint artifacts) for the same reuse.
+  same artifact; `fit` prebuilds one and exits. A sweep of several
+  tables over one kind shares one fit by passing each `run` the same
+  --fit-cache path.
 
 SERVE:
   `gced serve` answers POST /v1/distill with the micro-batching
@@ -175,6 +166,15 @@ ANALYZE:
   sanitizers\" for the lint catalog.
 ";
 
+/// The usage text, its experiment list drawn from the registry.
+fn usage() -> String {
+    let list: String = EXPERIMENTS
+        .iter()
+        .map(|e| format!("  {:<16} {}\n", e.name, e.help))
+        .collect();
+    USAGE.replace("@EXPERIMENTS@\n", &list)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -188,10 +188,10 @@ fn main() -> ExitCode {
         Some("fit") => cmd_fit(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
+            print!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}\n\n{USAGE}")),
+        Some(other) => Err(format!("unknown subcommand {other:?}\n\n{}", usage())),
     };
     match result {
         Ok(code) => code,
@@ -270,7 +270,7 @@ impl Parsed {
             };
             return Ok((scale, tag.to_string()));
         }
-        // Like the bench targets, unknown GCED_SCALE values fall back to
+        // Like `Scale::from_env`, unknown GCED_SCALE values fall back to
         // the default scale instead of erroring.
         let (scale, tag) = match std::env::var("GCED_SCALE").as_deref() {
             Ok("smoke") => (Scale::smoke(), "smoke"),
@@ -344,19 +344,14 @@ fn ensure_parent_dir(path: &Path) -> Result<(), String> {
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let p = parse_args(args)?;
-    let experiment = p
+    let name = p
         .positional
         .first()
-        .ok_or_else(|| format!("run: missing experiment name\n\n{USAGE}"))?
+        .ok_or_else(|| format!("run: missing experiment name\n\n{}", usage()))?
         .clone();
     // Validate the name before the worker-process path pays for a fit
     // and spawns children that would all fail on it.
-    if !gced_eval::shard::EXPERIMENTS.contains(&experiment.as_str()) {
-        return Err(format!(
-            "unknown experiment {experiment:?} (expected one of {:?})",
-            gced_eval::shard::EXPERIMENTS
-        ));
-    }
+    let exp = experiment(&name).map_err(|e| e.to_string())?;
     let (scale, scale_flag) = p.scale()?;
     let seed = p.seed()?;
     let kind = p.kind()?;
@@ -378,8 +373,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let merged = if shards == 1 {
-        let output = run_shard_cached(
-            &experiment,
+        let output = run_shard(
+            &name,
             kind,
             scale,
             seed,
@@ -387,23 +382,16 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             fit_cache.as_deref(),
         )
         .map_err(|e| e.to_string())?;
-        report_fit_cache(&experiment, fit_cache.as_deref());
+        report_fit_cache(&name, fit_cache.as_deref());
         merge(&[output]).map_err(|e| e.to_string())?
     } else if p.switch("in-process") {
-        let merged = run_sharded_in_process_cached(
-            &experiment,
-            kind,
-            scale,
-            seed,
-            shards,
-            fit_cache.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        report_fit_cache(&experiment, fit_cache.as_deref());
+        let merged = run_sharded_in_process(&name, kind, scale, seed, shards, fit_cache.as_deref())
+            .map_err(|e| e.to_string())?;
+        report_fit_cache(&name, fit_cache.as_deref());
         merged
     } else {
         run_sharded_processes(
-            &experiment,
+            exp,
             kind,
             scale,
             scale_flag.as_str(),
@@ -441,7 +429,7 @@ fn report_fit_cache(experiment: &str, path: Option<&Path>) {
 /// JSON being merged.
 #[allow(clippy::too_many_arguments)]
 fn run_sharded_processes(
-    experiment: &str,
+    exp: &Experiment,
     kind: DatasetKind,
     scale: Scale,
     scale_flag: &str,
@@ -451,7 +439,8 @@ fn run_sharded_processes(
 ) -> Result<gced_eval::MergedRun, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate gced binary: {e}"))?;
     let dir = std::env::temp_dir().join(format!(
-        "gced-shards-{experiment}-{}-{seed}-{}",
+        "gced-shards-{}-{}-{seed}-{}",
+        exp.name,
         kind.cli_flag(),
         std::process::id()
     ));
@@ -468,7 +457,7 @@ fn run_sharded_processes(
     // Fit once in the driver and hand every shard the artifact; without
     // an explicit --fit-cache the artifact is scratch, removed with the
     // shard files below.
-    let cache_path = if needs_fit(experiment) {
+    let cache_path = if exp.needs_fit {
         let path = fit_cache.unwrap_or_else(|| dir.join("fit-cache.bin"));
         if let Err(e) = load_or_fit(kind, scale, seed, Some(&path)) {
             let _ = std::fs::remove_dir_all(&dir);
@@ -487,7 +476,7 @@ fn run_sharded_processes(
     let result = drive_shards(
         &exe,
         &dir,
-        experiment,
+        exp.name,
         kind,
         scale_flag,
         seed,
@@ -565,7 +554,7 @@ fn cmd_shard(args: &[String]) -> Result<ExitCode, String> {
     let experiment = p
         .positional
         .first()
-        .ok_or_else(|| format!("shard: missing experiment name\n\n{USAGE}"))?;
+        .ok_or_else(|| format!("shard: missing experiment name\n\n{}", usage()))?;
     let index = p
         .flag("shard-index")
         .ok_or("shard: --shard-index is required")?
@@ -579,7 +568,7 @@ fn cmd_shard(args: &[String]) -> Result<ExitCode, String> {
     let spec = ShardSpec::new(index, of)?;
     let (scale, _) = p.scale()?;
     let fit_cache = p.flag("fit-cache").map(PathBuf::from);
-    let output = run_shard_cached(
+    let output = run_shard(
         experiment,
         p.kind()?,
         scale,
@@ -599,7 +588,7 @@ fn cmd_shard(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     let p = parse_args(args)?;
     if p.positional.is_empty() {
-        return Err(format!("merge: no shard files given\n\n{USAGE}"));
+        return Err(format!("merge: no shard files given\n\n{}", usage()));
     }
     let outputs = p
         .positional

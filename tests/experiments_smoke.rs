@@ -1,11 +1,11 @@
-//! Smoke tests for the experiment harness: every table/figure runner
-//! produces well-formed output at smoke scale, and the paper's headline
-//! directional claims hold.
+//! Smoke tests for the experiment harness: every table/figure row
+//! function produces well-formed output at smoke scale, and the paper's
+//! headline directional claims hold.
 
 use gced_datasets::DatasetKind;
-use gced_eval::experiments::{self, ExperimentContext};
+use gced_eval::experiments::{self, ExperimentContext, QaRow};
 use gced_eval::Scale;
-use gced_qa::zoo;
+use gced_qa::zoo::{self, ZooEntry};
 use std::sync::OnceLock;
 
 fn squad_ctx() -> &'static ExperimentContext {
@@ -16,6 +16,15 @@ fn squad_ctx() -> &'static ExperimentContext {
 fn trivia_ctx() -> &'static ExperimentContext {
     static CTX: OnceLock<ExperimentContext> = OnceLock::new();
     CTX.get_or_init(|| ExperimentContext::prepare(DatasetKind::TriviaWeb, Scale::smoke(), 42))
+}
+
+/// Tables VI/VII rows for `models` over one context's evidence splits.
+fn qa_rows(ctx: &ExperimentContext, models: &[ZooEntry]) -> Vec<QaRow> {
+    let (ev_train, ev_dev) = (ctx.evidence_train(), ctx.evidence_dev());
+    models
+        .iter()
+        .map(|entry| experiments::qa_augmentation_row(ctx, entry, &ev_train, &ev_dev))
+        .collect()
 }
 
 #[test]
@@ -29,7 +38,11 @@ fn word_reduction_is_higher_on_trivia_than_squad() {
 
 #[test]
 fn table4_human_eval_rows_are_plausible() {
-    let rows = experiments::human_eval(squad_ctx(), &zoo::squad_models()[..2], Scale::smoke());
+    let mut rows: Vec<_> = zoo::squad_models()[..2]
+        .iter()
+        .map(|entry| experiments::human_eval_model_row(squad_ctx(), entry, Scale::smoke()))
+        .collect();
+    rows.push(experiments::human_eval_gt_row(squad_ctx(), Scale::smoke()));
     assert_eq!(rows.len(), 3); // 2 models + ground truth
     for r in &rows {
         assert!(r.outcome.rated > 0, "{}: nothing rated", r.source);
@@ -56,7 +69,7 @@ fn table6_gains_emerge_without_injection() {
         zoo::squad_models()[0].clone(),
         zoo::squad_models()[8].clone(),
     ];
-    let rows = experiments::qa_augmentation(squad_ctx(), &picked);
+    let rows = qa_rows(squad_ctx(), &picked);
     // Mean gain across models must be positive (paper: +3.5% EM avg).
     let mean_gain: f64 =
         rows.iter().map(|r| r.gced.em - r.base.em).sum::<f64>() / rows.len() as f64;
@@ -65,9 +78,8 @@ fn table6_gains_emerge_without_injection() {
 
 #[test]
 fn table7_gains_are_larger_on_trivia() {
-    let squad_rows = experiments::qa_augmentation(squad_ctx(), &[zoo::squad_models()[0].clone()]);
-    let trivia_rows =
-        experiments::qa_augmentation(trivia_ctx(), &[zoo::trivia_models()[0].clone()]);
+    let squad_rows = qa_rows(squad_ctx(), &zoo::squad_models()[..1]);
+    let trivia_rows = qa_rows(trivia_ctx(), &zoo::trivia_models()[..1]);
     let squad_gain = squad_rows[0].gced.f1 - squad_rows[0].base.f1;
     let trivia_gain = trivia_rows[0].gced.f1 - trivia_rows[0].base.f1;
     // Paper: avg F1 gain +1.5-4.2% on SQuAD vs +14.6-15% on TriviaQA.
@@ -79,8 +91,7 @@ fn table7_gains_are_larger_on_trivia() {
 
 #[test]
 fn table2_alpha_values_exist_and_are_bounded() {
-    let rows = experiments::human_eval(squad_ctx(), &zoo::squad_models()[..1], Scale::smoke());
-    let gt = rows.last().unwrap();
+    let gt = experiments::human_eval_gt_row(squad_ctx(), Scale::smoke());
     for group in &gt.outcome.alpha {
         for a in group.iter().flatten() {
             assert!(*a <= 1.0 + 1e-9, "alpha {a} > 1");
@@ -91,8 +102,12 @@ fn table2_alpha_values_exist_and_are_bounded() {
 
 #[test]
 fn fig7_degradation_is_graceful() {
-    let series = experiments::degradation(squad_ctx(), &zoo::squad_models()[..1], &[0.0, 0.5, 1.0]);
-    let points = &series[0].points;
+    let entry = &zoo::squad_models()[0];
+    let pred = experiments::predicted_evidences(squad_ctx(), entry);
+    let points: Vec<(f64, f64, f64)> = [0.0, 0.5, 1.0]
+        .iter()
+        .map(|&delta| experiments::degradation_point(squad_ctx(), entry, &pred, delta))
+        .collect();
     assert_eq!(points.len(), 3);
     let em_gt = points[0].1;
     let em_full = points[2].1;
@@ -112,7 +127,12 @@ fn fig7_degradation_is_graceful() {
 #[test]
 fn table8_ablation_shows_component_effects() {
     let bert = &zoo::squad_models()[0];
-    let rows = experiments::ablation(squad_ctx(), bert, Scale::smoke());
+    let rows: Vec<_> = experiments::ablation_variants()
+        .into_iter()
+        .map(|(label, ablation)| {
+            experiments::ablation_row(squad_ctx(), bert, Scale::smoke(), &label, ablation)
+        })
+        .collect();
     assert_eq!(rows.len(), 8); // 7 knockouts + full
     let full = rows.last().unwrap();
     assert_eq!(full.label, "BERT+GCED");

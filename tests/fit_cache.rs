@@ -5,8 +5,7 @@
 
 use gced_datasets::{DatasetKind, ShardSpec};
 use gced_eval::shard::{
-    fit_fingerprint, load_or_fit, run_shard, run_shard_cached, run_sharded_in_process_cached,
-    ShardError,
+    fit_fingerprint, load_or_fit, run_shard, run_sharded_in_process, ShardError,
 };
 use gced_eval::Scale;
 use std::path::PathBuf;
@@ -28,7 +27,7 @@ fn cached_fit_reproduces_fresh_run_bitwise() {
     let kind = DatasetKind::Squad11;
 
     // First cached call fits and publishes the artifact…
-    let first = run_shard_cached(
+    let first = run_shard(
         "reduction",
         kind,
         scale,
@@ -42,7 +41,7 @@ fn cached_fit_reproduces_fresh_run_bitwise() {
 
     // …the second maps it instead of re-fitting; output is identical,
     // and so is a run that never touches the cache.
-    let second = run_shard_cached(
+    let second = run_shard(
         "reduction",
         kind,
         scale,
@@ -52,7 +51,7 @@ fn cached_fit_reproduces_fresh_run_bitwise() {
     )
     .unwrap();
     assert_eq!(first.to_json(), second.to_json());
-    let fresh = run_shard("reduction", kind, scale, 42, ShardSpec::single()).unwrap();
+    let fresh = run_shard("reduction", kind, scale, 42, ShardSpec::single(), None).unwrap();
     assert_eq!(fresh.to_json(), second.to_json());
 
     // The artifact is byte-deterministic: re-publishing under a fresh
@@ -66,8 +65,7 @@ fn cached_fit_reproduces_fresh_run_bitwise() {
 
     // An in-process sharded run through the same artifact merges
     // byte-identically too.
-    let merged =
-        run_sharded_in_process_cached("reduction", kind, scale, 42, 3, Some(&path)).unwrap();
+    let merged = run_sharded_in_process("reduction", kind, scale, 42, 3, Some(&path)).unwrap();
     let single = gced_eval::shard::merge(&[fresh]).unwrap();
     assert_eq!(single.render(), merged.render());
 
@@ -83,7 +81,7 @@ fn mismatched_fit_cache_fails_loudly() {
     load_or_fit(kind, scale, 42, Some(&path)).unwrap();
 
     // Same artifact, different seed → fingerprint mismatch, loud error.
-    let err = match run_shard_cached(
+    let err = match run_shard(
         "reduction",
         kind,
         scale,
@@ -99,7 +97,7 @@ fn mismatched_fit_cache_fails_loudly() {
 
     // Garbage bytes → loud decode error, not a silent re-fit.
     std::fs::write(&path, b"not an artifact").unwrap();
-    let err = match run_shard_cached(
+    let err = match run_shard(
         "reduction",
         kind,
         scale,

@@ -13,12 +13,12 @@ use gced_eval::Scale;
 /// the single-shard run, including through the JSON wire format.
 fn assert_shard_parity(experiment: &str, kind: DatasetKind, shards: usize) {
     let scale = Scale::smoke();
-    let single_output = run_shard(experiment, kind, scale, 42, ShardSpec::single()).unwrap();
+    let single_output = run_shard(experiment, kind, scale, 42, ShardSpec::single(), None).unwrap();
     // Through the wire format the shards actually travel as.
     let rewired = ShardOutput::from_json(&single_output.to_json()).unwrap();
     assert_eq!(single_output, rewired, "{experiment} JSON roundtrip");
     let single = merge(&[single_output]).unwrap();
-    let sharded = run_sharded_in_process(experiment, kind, scale, 42, shards).unwrap();
+    let sharded = run_sharded_in_process(experiment, kind, scale, 42, shards, None).unwrap();
     assert_eq!(
         single.render(),
         sharded.render(),
@@ -39,12 +39,13 @@ fn table3_three_shards_merge_bit_identical() {
         scale,
         42,
         ShardSpec::single(),
+        None,
     )
     .unwrap()])
     .unwrap();
     let mut outputs: Vec<ShardOutput> = ShardSpec::all(3)
         .into_iter()
-        .map(|s| run_shard("table3", DatasetKind::Squad11, scale, 42, s).unwrap())
+        .map(|s| run_shard("table3", DatasetKind::Squad11, scale, 42, s, None).unwrap())
         .collect();
     // Completion order must not matter: merge them backwards…
     outputs.reverse();
@@ -68,18 +69,19 @@ fn reduction_sharding_is_bit_identical_through_real_distillation() {
         scale,
         42,
         ShardSpec::single(),
+        None,
     )
     .unwrap()])
     .unwrap();
     let in_process =
-        run_sharded_in_process("reduction", DatasetKind::Squad11, scale, 42, 3).unwrap();
+        run_sharded_in_process("reduction", DatasetKind::Squad11, scale, 42, 3, None).unwrap();
     assert_eq!(single.render(), in_process.render());
     assert_eq!(single.rows, in_process.rows);
     assert!(!single.rows.is_empty(), "reduction produced no rows");
 }
 
-/// `ExperimentContext::prepare_shard` caches must union to the full
-/// `prepare` caches: identical entries inside each shard's range, `None`
+/// Per-shard `ExperimentContext::prepare_fitted` caches must union to
+/// the full `prepare` caches: identical entries inside each shard's range, `None`
 /// outside it.
 #[test]
 fn prepare_shard_caches_union_to_full_prepare() {
@@ -87,7 +89,16 @@ fn prepare_shard_caches_union_to_full_prepare() {
     let full = ExperimentContext::prepare(DatasetKind::Squad11, scale, 42);
     let shards: Vec<ExperimentContext> = ShardSpec::all(2)
         .into_iter()
-        .map(|s| ExperimentContext::prepare_shard(DatasetKind::Squad11, scale, 42, s))
+        .map(|s| {
+            ExperimentContext::prepare_fitted(
+                DatasetKind::Squad11,
+                scale,
+                42,
+                None,
+                Some(s),
+                Some(s),
+            )
+        })
         .collect();
     for (spec, ctx) in ShardSpec::all(2).into_iter().zip(&shards) {
         assert_eq!(ctx.dataset, full.dataset, "shared artifacts must match");
@@ -151,6 +162,16 @@ fn ablation_three_shards_merge_bit_identical() {
 }
 
 #[test]
+fn table1_three_shards_merge_bit_identical() {
+    assert_shard_parity("table1", DatasetKind::Squad11, 3);
+}
+
+#[test]
+fn design_three_shards_merge_bit_identical() {
+    assert_shard_parity("design", DatasetKind::Squad20, 3);
+}
+
+#[test]
 fn degradation_three_shards_merge_bit_identical() {
     assert_shard_parity("degradation", DatasetKind::Squad11, 3);
 }
@@ -168,16 +189,18 @@ fn empty_shards_merge_cleanly_and_empty_means_are_zero() {
         scale,
         42,
         ShardSpec::single(),
+        None,
     )
     .unwrap()])
     .unwrap();
-    let five = run_sharded_in_process("agreement", DatasetKind::Squad11, scale, 42, 5).unwrap();
+    let five =
+        run_sharded_in_process("agreement", DatasetKind::Squad11, scale, 42, 5, None).unwrap();
     assert_eq!(single.render(), five.render());
     // `table3` has 4 items; 7 shards exercise the empty edge cheaply,
     // including the wire format of an empty shard output.
     let outputs: Vec<ShardOutput> = ShardSpec::all(7)
         .into_iter()
-        .map(|s| run_shard("table3", DatasetKind::Squad11, scale, 42, s).unwrap())
+        .map(|s| run_shard("table3", DatasetKind::Squad11, scale, 42, s, None).unwrap())
         .collect();
     assert!(outputs.iter().any(|o| o.rows.is_empty()));
     let rewired: Vec<ShardOutput> = outputs
@@ -190,13 +213,14 @@ fn empty_shards_merge_cleanly_and_empty_means_are_zero() {
         scale,
         42,
         ShardSpec::single(),
+        None,
     )
     .unwrap()])
     .unwrap();
     assert_eq!(merge(&rewired).unwrap().render(), single3.render());
     // A context whose caches were skipped entirely reports 0.0 mean
     // word reduction (not NaN) — the empty-shard aggregate edge.
-    let ctx = ExperimentContext::prepare_with(DatasetKind::Squad11, scale, 42, None, None);
+    let ctx = ExperimentContext::prepare_fitted(DatasetKind::Squad11, scale, 42, None, None, None);
     let mean = ctx.mean_word_reduction();
     assert!(!mean.is_nan(), "mean_word_reduction must not be NaN");
     assert_eq!(mean, 0.0);
@@ -209,7 +233,7 @@ fn merge_rejects_shards_from_different_runs() {
     let scale = Scale::smoke();
     let mut outputs: Vec<ShardOutput> = ShardSpec::all(2)
         .into_iter()
-        .map(|s| run_shard("table3", DatasetKind::Squad11, scale, 42, s).unwrap())
+        .map(|s| run_shard("table3", DatasetKind::Squad11, scale, 42, s, None).unwrap())
         .collect();
     outputs[1] = run_shard(
         "table3",
@@ -217,6 +241,7 @@ fn merge_rejects_shards_from_different_runs() {
         scale,
         7,
         ShardSpec::new(1, 2).unwrap(),
+        None,
     )
     .unwrap();
     let err = merge(&outputs).unwrap_err();
