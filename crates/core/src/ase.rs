@@ -30,7 +30,7 @@
 //! the cross-crate property suite pins that on randomized pipelines.
 
 use crate::scoring::{Bitset, SearchContext};
-use gced_metrics::overlap::{normalize_answer, token_f1};
+use gced_metrics::overlap::{f1_from_counts, normalize_answer, token_f1};
 use gced_qa::model::MAX_SPAN;
 use gced_text::{join_tokens, Document, SentId};
 
@@ -67,39 +67,113 @@ impl AseResult {
 /// contribute, and `max` over a trial's member sentences bounds the
 /// trial. Answers that normalize to nothing disable the bound (an
 /// abstention then scores F1 = 1).
+///
+/// Bit-identical to [`reference::sentence_f1_bounds`], which scores each
+/// span with `token_f1` over its joined text. Here each token is
+/// normalized once into answer-word slots and a span's common words are
+/// counted over a slot array; [`f1_from_counts`] is `token_f1`'s own
+/// arithmetic. For ASCII tokens, normalizing a joined span equals
+/// normalizing its tokens one by one — every join without a space puts a
+/// non-alphanumeric byte between them — except across a glued `n't`,
+/// which fuses with its left neighbour. Spans holding an `n't` or a
+/// non-ASCII token (whose lowercasing can depend on its neighbours, as
+/// the Greek final sigma does) are scored on the joined string instead.
 pub fn sentence_f1_bounds(doc: &Document, answer: &str) -> Vec<f64> {
     let n_sents = doc.sentences.len();
     let ans_norm = normalize_answer(answer);
     if ans_norm.is_empty() {
         return vec![1.0; n_sents];
     }
-    let ans_set: std::collections::HashSet<&str> = ans_norm.iter().map(String::as_str).collect();
-    // A span's normalized tokens are the union of its members' — except
-    // across an "n't" glue join, which can merge two surface tokens into
-    // one normalized token, so "n't" forces evaluation.
-    let overlap: Vec<bool> = doc
-        .tokens
-        .iter()
-        .map(|t| {
-            normalize_answer(&t.text)
-                .iter()
-                .any(|w| ans_set.contains(w.as_str()))
-                || t.lower() == "n't"
-        })
-        .collect();
+    // Distinct answer words (slots) and their multiplicities.
+    let mut words: Vec<&str> = Vec::new();
+    let mut quota: Vec<u32> = Vec::new();
+    for w in &ans_norm {
+        match words.iter().position(|x| x == w) {
+            Some(k) => quota[k] += 1,
+            None => {
+                words.push(w);
+                quota.push(1);
+            }
+        }
+    }
+    // Per token: its normalized words as slots (`NOT_ANSWER` for the
+    // rest), whether it shares a word with the answer (or is an `n't`,
+    // which forces evaluation), and whether it needs the string path.
+    const NOT_ANSWER: u32 = u32::MAX;
+    let n = doc.tokens.len();
+    let mut slots: Vec<u32> = Vec::with_capacity(n + n / 2);
+    let mut slot_end: Vec<u32> = Vec::with_capacity(n);
+    let mut overlap: Vec<bool> = Vec::with_capacity(n);
+    let mut joined: Vec<bool> = Vec::with_capacity(n);
+    for t in &doc.tokens {
+        let text = t.text.as_str();
+        if text.is_ascii() {
+            let mut hit = text.eq_ignore_ascii_case("n't");
+            for w in text
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|w| !w.is_empty() && !is_article(w))
+            {
+                let slot = words
+                    .iter()
+                    .position(|a| a.eq_ignore_ascii_case(w))
+                    .map_or(NOT_ANSWER, |k| k as u32);
+                hit |= slot != NOT_ANSWER;
+                slots.push(slot);
+            }
+            overlap.push(hit);
+            joined.push(text == "n't");
+        } else {
+            overlap.push(
+                normalize_answer(text)
+                    .iter()
+                    .any(|w| words.contains(&w.as_str()))
+                    || t.lower() == "n't",
+            );
+            joined.push(true);
+        }
+        slot_end.push(slots.len() as u32);
+    }
+    let token_slots = |i: usize| {
+        let lo = if i == 0 { 0 } else { slot_end[i - 1] as usize };
+        &slots[lo..slot_end[i] as usize]
+    };
+
+    let mut counts = vec![0u32; words.len()];
     let mut bounds = vec![0.0f64; n_sents];
     for (si, s) in doc.sentences.iter().enumerate() {
-        if !(s.token_start..s.token_end).any(|i| overlap[i]) {
+        if !overlap[s.token_start..s.token_end].contains(&true) {
             continue; // no shared token ⇒ every span scores F1 = 0
         }
         let mut best = 0.0f64;
         for start in s.token_start..s.token_end {
             let hi = (start + MAX_SPAN).min(s.token_end);
+            counts.fill(0);
+            let (mut common, mut pred_len) = (0usize, 0usize);
+            let (mut touched, mut slow) = (false, false);
             for end in (start + 1)..=hi {
-                if !(start..end).any(|i| overlap[i]) {
+                let i = end - 1;
+                touched |= overlap[i];
+                slow |= joined[i];
+                if !slow {
+                    for &slot in token_slots(i) {
+                        pred_len += 1;
+                        if slot != NOT_ANSWER {
+                            let k = slot as usize;
+                            counts[k] += 1;
+                            if counts[k] <= quota[k] {
+                                common += 1;
+                            }
+                        }
+                    }
+                }
+                if !touched {
                     continue;
                 }
-                let f1 = token_f1(&join_tokens(&doc.tokens[start..end]), answer).f1;
+                let f1 = if slow {
+                    token_f1(&join_tokens(&doc.tokens[start..end]), answer).f1
+                } else {
+                    f1_from_counts(common, pred_len, ans_norm.len()).f1
+                };
                 if f1 > best {
                     best = f1;
                 }
@@ -108,6 +182,11 @@ pub fn sentence_f1_bounds(doc: &Document, answer: &str) -> Vec<f64> {
         bounds[si] = best;
     }
     bounds
+}
+
+/// The articles [`normalize_answer`] drops, on a not-yet-lowercased word.
+fn is_article(w: &str) -> bool {
+    ["a", "an", "the"].iter().any(|a| a.eq_ignore_ascii_case(w))
 }
 
 /// Run the greedy search over the engine's document. `max_sentences`
@@ -227,9 +306,56 @@ pub fn subset_text(doc: &Document, subset: &[usize]) -> String {
 #[doc(hidden)]
 pub mod reference {
     use super::AseResult;
-    use gced_metrics::overlap::token_f1;
+    use gced_metrics::overlap::{normalize_answer, token_f1};
+    use gced_qa::model::MAX_SPAN;
     use gced_qa::{QaModel, QuestionAnalysis, SelectionScratch};
-    use gced_text::Document;
+    use gced_text::{join_tokens, Document};
+
+    /// Reference span-F1 bounds: `token_f1` on the joined text of every
+    /// span that touches an answer word. See [`super::sentence_f1_bounds`].
+    pub fn sentence_f1_bounds(doc: &Document, answer: &str) -> Vec<f64> {
+        let n_sents = doc.sentences.len();
+        let ans_norm = normalize_answer(answer);
+        if ans_norm.is_empty() {
+            return vec![1.0; n_sents];
+        }
+        let ans_set: std::collections::HashSet<&str> =
+            ans_norm.iter().map(String::as_str).collect();
+        // A span's normalized tokens are the union of its members' — except
+        // across an "n't" glue join, which can merge two surface tokens into
+        // one normalized token, so "n't" forces evaluation.
+        let overlap: Vec<bool> = doc
+            .tokens
+            .iter()
+            .map(|t| {
+                normalize_answer(&t.text)
+                    .iter()
+                    .any(|w| ans_set.contains(w.as_str()))
+                    || t.lower() == "n't"
+            })
+            .collect();
+        let mut bounds = vec![0.0f64; n_sents];
+        for (si, s) in doc.sentences.iter().enumerate() {
+            if !(s.token_start..s.token_end).any(|i| overlap[i]) {
+                continue; // no shared token ⇒ every span scores F1 = 0
+            }
+            let mut best = 0.0f64;
+            for start in s.token_start..s.token_end {
+                let hi = (start + MAX_SPAN).min(s.token_end);
+                for end in (start + 1)..=hi {
+                    if !(start..end).any(|i| overlap[i]) {
+                        continue;
+                    }
+                    let f1 = token_f1(&join_tokens(&doc.tokens[start..end]), answer).f1;
+                    if f1 > best {
+                        best = f1;
+                    }
+                }
+            }
+            bounds[si] = best;
+        }
+        bounds
+    }
 
     /// Reference ASE. See [`super::extract`].
     pub fn extract(
@@ -540,6 +666,84 @@ mod tests {
                 f1 <= bound + 1e-15,
                 "subset {subset:?}: F1 {f1} exceeds bound {bound}"
             );
+        }
+    }
+
+    /// The fast bound against the joined-string oracle, bit for bit.
+    fn assert_bounds_match(context: &str, answer: &str) {
+        let doc = analyze(context);
+        let fast = sentence_f1_bounds(&doc, answer);
+        let oracle = reference::sentence_f1_bounds(&doc, answer);
+        let bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&fast),
+            bits(&oracle),
+            "{context:?} / {answer:?}: {fast:?} vs {oracle:?}"
+        );
+    }
+
+    #[test]
+    fn fast_bounds_match_reference_on_adversarial_text() {
+        let contexts = [
+            "The Broncos didn't lose. They won't stop. It isn't over, and DIDN'T end.",
+            "Bob's team beat Ann's. The Broncos's title came (finally) at the [AFC] {final}.",
+            "The the a an. A an the! . , ; : ( ) [ ] ...",
+            "Don n't do n't. ( n't ) 's 's n't n't.",
+            "ΟΔΟΣ'S ΟΔΟΣ ends here. Σ and σ and ς. Straße İstanbul café naïve Zoë.",
+            "It weighs 3.14 kg, cost 1,000 dollars and 50% more. U.S. troops met Dr. Smith.",
+            "He said \"stop.\" Then left?! Rock'n'roll Knowles-Carter sang -- loudly.",
+            "Denver Broncos Denver Broncos Denver. Broncos broncos BRONCOS the Broncos.",
+            "An apple and an Orange met a pear. Apple an pear. Orange the apple. Pear AN apple.",
+        ];
+        let answers = [
+            "Denver Broncos",
+            "the Broncos",
+            "Broncos Broncos",
+            "didn't",
+            "did n't",
+            "n't",
+            "Bob's",
+            "(AFC)",
+            "the",
+            "a an the",
+            "!?",
+            "",
+            "ΟΔΟΣ",
+            "Σ",
+            "café naïve",
+            "3.14",
+            "50%",
+            "U.S.",
+            "stop",
+            "rock n roll",
+            "an orange",
+            "apple pear",
+        ];
+        for context in contexts {
+            for answer in answers {
+                assert_bounds_match(context, answer);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_bounds_match_reference_on_every_dataset_kind() {
+        for kind in gced_datasets::DatasetKind::all() {
+            let ds = gced_datasets::generate(
+                kind,
+                gced_datasets::GeneratorConfig {
+                    train: 1,
+                    dev: 24,
+                    seed: 9501,
+                },
+            );
+            let examples = &ds.dev.examples;
+            for (i, ex) in examples.iter().enumerate() {
+                // Own answer (partial spans), and a neighbour's (mostly
+                // absent words).
+                assert_bounds_match(&ex.context, &ex.answer);
+                assert_bounds_match(&ex.context, &examples[(i + 1) % examples.len()].answer);
+            }
         }
     }
 

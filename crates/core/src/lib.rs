@@ -107,7 +107,8 @@ pub struct Distillation {
 struct DistillOpts {
     /// Run the clip search through the reference oracle.
     reference_clip: bool,
-    /// Run the grow search (ASE) through the reference oracle.
+    /// Run the grow search (ASE) through the reference oracle, and
+    /// analyse its sentences afresh rather than projecting them.
     reference_ase: bool,
     /// Allow candidate-level parallelism inside the clip search.
     parallel_clip: bool,
@@ -283,8 +284,9 @@ impl Gced {
     /// [`Gced::distill`] running **both** search phases through their
     /// paper-literal reference formulations ([`ase::reference::extract`]
     /// and [`oec::reference::clip`]) instead of the shared incremental
-    /// engine. Exposed for the oracle-equivalence property tests; the
-    /// two paths must produce identical output.
+    /// engine, and analysing the answer-oriented sentences afresh instead
+    /// of projecting them. Exposed for the oracle-equivalence property
+    /// tests; the two paths must produce identical output.
     #[doc(hidden)]
     pub fn distill_with_reference_search(
         &self,
@@ -319,11 +321,23 @@ impl Gced {
         }
         let mut trace = DistillTrace::default();
         let weights = self.config.effective_weights();
-        let scorer =
-            EvidenceScorer::new(&self.qa, &self.lm, question, answer, self.ppl_ref, weights);
+        let question_doc = analyze(question);
+        let scorer = EvidenceScorer::with_question_doc(
+            &self.qa,
+            &self.lm,
+            question,
+            &question_doc,
+            answer,
+            self.ppl_ref,
+            weights,
+        );
 
         // ---- ASE (grow phase of the shared search engine) ---------------
-        let aos_text = if self.config.ablation.use_ase {
+        // The AOS document is projected from the context's analysis; a
+        // subset whose re-joined text would analyse differently, and the
+        // reference path, analyse the AOS text afresh. Without ASE the
+        // AOS is the context itself.
+        let (aos_text, aos_doc) = if self.config.ablation.use_ase {
             let _grow_span = gced_obs::span("grow");
             let r = if opts.reference_ase {
                 ase::reference::extract(
@@ -343,21 +357,27 @@ impl Gced {
                 r
             };
             let text = ase::subset_text(&ctx_doc, &r.sentences);
+            let projected = if opts.reference_ase {
+                None
+            } else {
+                ctx_doc.project_sentences(&r.sentences, &text)
+            };
+            let doc = projected.unwrap_or_else(|| {
+                let _s = gced_obs::span("analyze");
+                analyze(&text)
+            });
             trace.ase = Some(r);
-            text
+            (text, Some(doc))
         } else {
-            context.to_string()
+            (context.to_string(), None)
         };
-        let aos = {
-            let _s = gced_obs::span("analyze");
-            analyze(&aos_text)
-        };
+        let aos = aos_doc.as_ref().unwrap_or(&ctx_doc);
         if aos.is_empty() {
             return Err(DistillError::EmptyContext);
         }
 
         // ---- answer tokens in the AOS -------------------------------------
-        let answer_tokens = locate_answer(&aos, answer);
+        let answer_tokens = locate_answer(aos, answer);
         trace.answer_words = answer_tokens
             .iter()
             .map(|&i| aos.tokens[i].text.clone())
@@ -365,7 +385,7 @@ impl Gced {
 
         // ---- QWS -----------------------------------------------------------
         let clue_tokens = if self.config.ablation.use_qws {
-            let r = qws::select(&self.lexicon, question, &aos, &answer_tokens);
+            let r = qws::select(&self.lexicon, &question_doc, aos, &answer_tokens);
             trace.significant_words = r.significant_words;
             trace.clue_words = r
                 .clue_tokens
@@ -380,7 +400,7 @@ impl Gced {
         // ---- WSPTC ----------------------------------------------------------
         let wt = {
             let _s = gced_obs::span("wsptc");
-            wsptc::construct(&self.parser, &self.attention, &self.embeddings, &aos)
+            wsptc::construct(&self.parser, &self.attention, &self.embeddings, aos)
         };
 
         // ---- EFC ------------------------------------------------------------
@@ -395,7 +415,7 @@ impl Gced {
                 .first()
                 .map(|s| (s.token_start..s.token_end).collect())
                 .unwrap_or_default();
-            return Ok(self.finish(&aos, &aos_text, &ctx_doc, first, &scorer, None, trace));
+            return Ok(self.finish(aos, &aos_text, &ctx_doc, first, &scorer, None, trace));
         }
 
         // ---- OEC: SGS -------------------------------------------------------
@@ -434,7 +454,7 @@ impl Gced {
                     te_root,
                     &protected,
                     &scorer,
-                    &aos,
+                    aos,
                     self.config.clip,
                 )
             } else {
@@ -444,7 +464,7 @@ impl Gced {
                     te_root,
                     &protected,
                     &scorer,
-                    &aos,
+                    aos,
                     self.config.clip,
                     opts.parallel_clip,
                 );
@@ -453,7 +473,7 @@ impl Gced {
             };
         }
 
-        Ok(self.finish(&aos, &aos_text, &ctx_doc, te, &scorer, final_scores, trace))
+        Ok(self.finish(aos, &aos_text, &ctx_doc, te, &scorer, final_scores, trace))
     }
 
     /// Distill a batch of (question, answer, context) tuples, fanning
@@ -563,13 +583,14 @@ impl Gced {
 /// occurrence when present, otherwise a bag-of-words match (the answer
 /// may be a predicted string that only partially overlaps the context).
 fn locate_answer(aos: &Document, answer: &str) -> Vec<usize> {
-    if let Some((s, e)) = gced_qa::model::gold_span(aos, answer) {
+    let answer_doc = analyze(answer);
+    if let Some((s, e)) = gced_qa::model::gold_span_of(aos, &answer_doc) {
         return (s..e).collect();
     }
-    let answer_words: BTreeSet<String> = analyze(answer).tokens.iter().map(|t| t.lower()).collect();
+    let answer_words: BTreeSet<String> = answer_doc.tokens.iter().map(|t| t.lower()).collect();
     aos.tokens
         .iter()
-        .filter(|t| answer_words.contains(&t.lower()))
+        .filter(|t| answer_words.contains(&*t.lower_cow()))
         .map(|t| t.index)
         .collect()
 }

@@ -9,7 +9,7 @@
 //!    words.
 
 use gced_lexicon::Lexicon;
-use gced_text::{analyze, is_insignificant_question_word, Document};
+use gced_text::{is_insignificant_question_word, Document};
 use std::collections::HashSet;
 
 /// Result of clue-word selection.
@@ -22,14 +22,18 @@ pub struct QwsResult {
     pub significant_words: Vec<String>,
 }
 
-/// Select clue words in `aos` for `question`. `exclude` marks token
-/// indices that must not become clue words (the answer tokens — they
-/// seed the answer tree instead, Sec. III-E).
-pub fn select(lexicon: &Lexicon, question: &str, aos: &Document, exclude: &[usize]) -> QwsResult {
-    let q_doc = analyze(question);
+/// Select clue words in `aos` for the analysed `question`. `exclude`
+/// marks token indices that must not become clue words (the answer
+/// tokens — they seed the answer tree instead, Sec. III-E).
+pub fn select(
+    lexicon: &Lexicon,
+    question: &Document,
+    aos: &Document,
+    exclude: &[usize],
+) -> QwsResult {
     let mut significant_words = Vec::new();
     let mut expansion: HashSet<String> = HashSet::new();
-    for t in &q_doc.tokens {
+    for t in &question.tokens {
         let lower = t.lower();
         if t.is_punct() || is_insignificant_question_word(&lower) {
             continue;
@@ -48,7 +52,7 @@ pub fn select(lexicon: &Lexicon, question: &str, aos: &Document, exclude: &[usiz
         .iter()
         .filter(|t| t.pos.is_open_class())
         .filter(|t| !excluded.contains(&t.index))
-        .filter(|t| expansion.contains(&t.lower()) || expansion.contains(&t.lemma))
+        .filter(|t| expansion.contains(&*t.lower_cow()) || expansion.contains(&t.lemma))
         .map(|t| t.index)
         .collect();
     QwsResult {
@@ -60,11 +64,12 @@ pub fn select(lexicon: &Lexicon, question: &str, aos: &Document, exclude: &[usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gced_text::analyze;
 
     fn clue_words(question: &str, aos_text: &str) -> Vec<String> {
         let lex = Lexicon::embedded();
         let aos = analyze(aos_text);
-        let r = select(&lex, question, &aos, &[]);
+        let r = select(&lex, &analyze(question), &aos, &[]);
         r.clue_tokens
             .iter()
             .map(|&i| aos.tokens[i].text.clone())
@@ -126,7 +131,12 @@ mod tests {
         let lex = Lexicon::embedded();
         let aos = analyze("The Broncos defeated the Panthers.");
         let broncos = aos.tokens.iter().position(|t| t.text == "Broncos").unwrap();
-        let r = select(&lex, "Which team defeated the Broncos?", &aos, &[broncos]);
+        let r = select(
+            &lex,
+            &analyze("Which team defeated the Broncos?"),
+            &aos,
+            &[broncos],
+        );
         assert!(!r.clue_tokens.contains(&broncos));
     }
 
@@ -134,7 +144,7 @@ mod tests {
     fn insignificant_only_question_yields_no_clues() {
         let lex = Lexicon::embedded();
         let aos = analyze("The Broncos defeated the Panthers.");
-        let r = select(&lex, "Who did what to whom?", &aos, &[]);
+        let r = select(&lex, &analyze("Who did what to whom?"), &aos, &[]);
         assert!(r.clue_tokens.is_empty());
         assert!(r.significant_words.is_empty());
     }
@@ -143,7 +153,7 @@ mod tests {
     fn significant_words_recorded_once() {
         let lex = Lexicon::embedded();
         let aos = analyze("x");
-        let r = select(&lex, "team team team?", &aos, &[]);
+        let r = select(&lex, &analyze("team team team?"), &aos, &[]);
         assert_eq!(r.significant_words, vec!["team"]);
     }
 
@@ -151,7 +161,12 @@ mod tests {
     fn empty_lexicon_still_matches_exact_words() {
         let lex = Lexicon::empty();
         let aos = analyze("The Broncos defeated the Panthers.");
-        let r = select(&lex, "Which team defeated the Panthers?", &aos, &[]);
+        let r = select(
+            &lex,
+            &analyze("Which team defeated the Panthers?"),
+            &aos,
+            &[],
+        );
         let words: Vec<&str> = r
             .clue_tokens
             .iter()

@@ -95,12 +95,27 @@ impl<'a> EvidenceScorer<'a> {
         ppl_ref: f64,
         weights: (f64, f64, f64),
     ) -> Self {
+        let question_doc = gced_text::analyze(question);
+        Self::with_question_doc(qa, lm, question, &question_doc, answer, ppl_ref, weights)
+    }
+
+    /// [`EvidenceScorer::new`] for a question already analysed as
+    /// `question_doc` (a distillation analyses its question once).
+    pub fn with_question_doc(
+        qa: &'a QaModel,
+        lm: &'a TrigramLm,
+        question: &'a str,
+        question_doc: &Document,
+        answer: &'a str,
+        ppl_ref: f64,
+        weights: (f64, f64, f64),
+    ) -> Self {
         let answer_len = answer.split_whitespace().count();
         EvidenceScorer {
             qa,
             lm,
             question,
-            q_analysis: QuestionAnalysis::new(question),
+            q_analysis: QuestionAnalysis::from_doc(question_doc),
             answer,
             answer_len,
             ppl_ref: ppl_ref.max(1.0),
@@ -168,7 +183,7 @@ impl<'a> EvidenceScorer<'a> {
         let informativeness = token_f1(&pred.text, self.answer).f1;
         let ids: Vec<WordId> = selected
             .iter()
-            .map(|&i| self.lm.vocab().get(&aos.tokens[i].lower()))
+            .map(|&i| self.lm.vocab().get(&aos.tokens[i].lower_cow()))
             .collect();
         let ppl = self.lm.perplexity_ids(&ids);
         self.assemble(informativeness, selected.len(), ppl)
@@ -302,7 +317,7 @@ impl<'s, 'a> SearchContext<'s, 'a> {
             self.aos
                 .tokens
                 .iter()
-                .map(|t| self.scorer.lm.vocab().get(&t.lower()))
+                .map(|t| self.scorer.lm.vocab().get(&t.lower_cow()))
                 .collect()
         });
         let ids: Vec<WordId> = self.base.iter().map(|&i| tok_ids[i]).collect();

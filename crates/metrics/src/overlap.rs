@@ -54,21 +54,11 @@ pub fn exact_match(prediction: &str, reference: &str) -> bool {
 pub fn token_f1(prediction: &str, reference: &str) -> F1Scores {
     let p = normalize_answer(prediction);
     let r = normalize_answer(reference);
-    if p.is_empty() && r.is_empty() {
-        return F1Scores {
-            precision: 1.0,
-            recall: 1.0,
-            f1: 1.0,
-        };
-    }
-    if p.is_empty() || r.is_empty() {
-        return F1Scores::ZERO;
-    }
     let mut counts: HashMap<&str, i64> = HashMap::new();
     for w in &r {
         *counts.entry(w.as_str()).or_insert(0) += 1;
     }
-    let mut common = 0i64;
+    let mut common = 0usize;
     for w in &p {
         if let Some(c) = counts.get_mut(w.as_str()) {
             if *c > 0 {
@@ -77,11 +67,26 @@ pub fn token_f1(prediction: &str, reference: &str) -> F1Scores {
             }
         }
     }
+    f1_from_counts(common, p.len(), r.len())
+}
+
+/// Eq. 1 from bag counts: a prediction of `pred_len` normalized tokens
+/// sharing `common` of them (with multiplicity) with a reference of
+/// `ref_len`. [`token_f1`] is this over [`normalize_answer`]'s tokens, so
+/// a caller that counts the same bags gets bit-identical scores.
+pub fn f1_from_counts(common: usize, pred_len: usize, ref_len: usize) -> F1Scores {
+    if pred_len == 0 && ref_len == 0 {
+        return F1Scores {
+            precision: 1.0,
+            recall: 1.0,
+            f1: 1.0,
+        };
+    }
     if common == 0 {
         return F1Scores::ZERO;
     }
-    let precision = common as f64 / p.len() as f64;
-    let recall = common as f64 / r.len() as f64;
+    let precision = common as f64 / pred_len as f64;
+    let recall = common as f64 / ref_len as f64;
     let f1 = 2.0 * precision * recall / (precision + recall);
     F1Scores {
         precision,

@@ -38,7 +38,11 @@ pub struct QuestionAnalysis {
 impl QuestionAnalysis {
     /// Analyse a question string.
     pub fn new(question: &str) -> Self {
-        let doc = gced_text::analyze(question);
+        Self::from_doc(&gced_text::analyze(question))
+    }
+
+    /// [`QuestionAnalysis::new`] of an already analysed question.
+    pub fn from_doc(doc: &Document) -> Self {
         let mut content_words = HashSet::new();
         let mut content_lemmas = HashSet::new();
         let mut wh = WhType::Unknown;
@@ -239,13 +243,13 @@ pub fn base_features_with_coverage(
     // f5: overlap with the question (answers rarely repeat the question).
     let overlap = span
         .iter()
-        .filter(|t| q.matches(&t.lower(), &t.lemma))
+        .filter(|t| q.matches(&t.lower_cow(), &t.lemma))
         .count();
     f[5] = overlap as f64 / len as f64;
     // f6: mean IDF (rarity) of span tokens.
     f[6] = span
         .iter()
-        .map(|t| idf.get(&t.lower()).copied().unwrap_or(2.0))
+        .map(|t| idf.get(&*t.lower_cow()).copied().unwrap_or(2.0))
         .sum::<f64>()
         / len as f64
         / 10.0;
@@ -318,7 +322,7 @@ pub fn clue_positions_into(doc: &Document, q: &QuestionAnalysis, out: &mut Vec<u
     out.extend(
         doc.tokens
             .iter()
-            .filter(|t| q.matches(&t.lower(), &t.lemma))
+            .filter(|t| q.matches(&t.lower_cow(), &t.lemma))
             .map(|t| t.index),
     );
 }

@@ -141,7 +141,7 @@ impl SelectionScoreCache {
         let mut cov_ids: HashMap<&str, u32> = HashMap::new();
         let mut matched_ids: HashMap<&str, u32> = HashMap::new();
         for t in &doc.tokens {
-            let lower = t.lower();
+            let lower = t.lower_cow();
             let matched = q.matches(&lower, &t.lemma);
             self.clue.push(matched);
             self.verb_clue
@@ -159,7 +159,7 @@ impl SelectionScoreCache {
                 NONE
             });
             self.idf_val
-                .push(qa.idf.get(&lower).copied().unwrap_or(2.0));
+                .push(qa.idf.get(&*lower).copied().unwrap_or(2.0));
         }
         self.n_matched = matched_ids.len();
         self.seen_stamp = vec![0; cov_ids.len().max(self.n_matched)];

@@ -548,7 +548,7 @@ fn question_coverage(doc: &Document, q: &QuestionAnalysis) -> f64 {
     let present: std::collections::HashSet<&str> = doc
         .tokens
         .iter()
-        .filter(|t| q.matches(&t.lower(), &t.lemma))
+        .filter(|t| q.matches(&t.lower_cow(), &t.lemma))
         .map(|t| t.lemma.as_str())
         .collect();
     // Cap at the lemma count (surface/lemma matching can over-count).
@@ -557,15 +557,24 @@ fn question_coverage(doc: &Document, q: &QuestionAnalysis) -> f64 {
 
 /// First token range of `answer` inside the analysed context.
 pub fn gold_span(doc: &Document, answer: &str) -> Option<(usize, usize)> {
-    let ans = analyze(answer);
-    if ans.is_empty() {
+    gold_span_of(doc, &analyze(answer))
+}
+
+/// [`gold_span`] of an already analysed answer: the first run of context
+/// tokens whose lowercased forms equal the answer's.
+pub fn gold_span_of(doc: &Document, answer: &Document) -> Option<(usize, usize)> {
+    if answer.is_empty() {
         return None;
     }
-    let ans_lower: Vec<String> = ans.tokens.iter().map(|t| t.lower()).collect();
-    let ctx_lower: Vec<String> = doc.tokens.iter().map(|t| t.lower()).collect();
+    let ans_lower: Vec<String> = answer.tokens.iter().map(|t| t.lower()).collect();
     let n = ans_lower.len();
-    (0..ctx_lower.len().saturating_sub(n - 1))
-        .find(|&i| ctx_lower[i..i + n] == ans_lower[..])
+    (0..doc.tokens.len().saturating_sub(n - 1))
+        .find(|&i| {
+            doc.tokens[i..i + n]
+                .iter()
+                .zip(&ans_lower)
+                .all(|(t, a)| *t.lower_cow() == **a)
+        })
         .map(|i| (i, i + n))
 }
 

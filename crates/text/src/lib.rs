@@ -121,6 +121,53 @@ impl Document {
         view
     }
 
+    /// `analyze(text)` for `text` holding whole sentences of this
+    /// document — `sentences` ascending, their [`Document::sentence_text`]s
+    /// joined by spaces — built by projection instead of re-analysis; or
+    /// `None` when the projection could differ from the analysis.
+    ///
+    /// Tags and lemmas depend only on the surface forms and the sentence
+    /// partition, so the projection equals `analyze(text)` exactly when
+    /// splitting and tokenizing `text` gives back the selected sentences
+    /// and surface forms. That check runs here, re-basing token and
+    /// sentence offsets onto `text` as it goes. It fails, for example,
+    /// when a closing quote after a period moves to the next sentence
+    /// once re-split, or a period without a following space
+    /// ("high.Then") starts a sentence once re-joined.
+    pub fn project_sentences(&self, sentences: &[usize], text: &str) -> Option<Document> {
+        let selected: Vec<usize> = sentences
+            .iter()
+            .flat_map(|&s| self.sentences[s].token_start..self.sentences[s].token_end)
+            .collect();
+        let mut view = self.project(&selected);
+        let spans = split_sentences(text);
+        if spans.len() != view.sentences.len() {
+            return None;
+        }
+        let mut next = 0;
+        for (sent, span) in view.sentences.iter_mut().zip(&spans) {
+            let raw = &text[span.clone()];
+            let mut same = true;
+            tokenizer::token_spans(raw, |start, end| {
+                match view.tokens.get_mut(next) {
+                    Some(t) if next < sent.token_end && t.text == raw[start..end] => {
+                        t.start = span.start + start;
+                        t.end = span.start + end;
+                    }
+                    _ => same = false,
+                }
+                next += 1;
+            });
+            if !same || next != sent.token_end {
+                return None;
+            }
+            sent.char_start = span.start;
+            sent.char_end = span.end;
+        }
+        view.text = text.to_string();
+        Some(view)
+    }
+
     /// Tokens belonging to sentence `sent`.
     pub fn sentence_tokens(&self, sent: SentId) -> &[Token] {
         let s = &self.sentences[sent.0];
@@ -154,21 +201,27 @@ impl Document {
 /// lemmatize. The output token indices are global and dense.
 pub fn analyze(text: &str) -> Document {
     let sentence_spans = split_sentences(text);
-    let mut tokens = Vec::new();
+    let mut tokens: Vec<Token> = Vec::new();
     let mut sentences = Vec::with_capacity(sentence_spans.len());
     for span in sentence_spans.iter() {
         let token_start = tokens.len();
-        let raw = &text[span.clone()];
-        for mut tok in tokenize(raw) {
-            tok.start += span.start;
-            tok.end += span.start;
-            tok.index = tokens.len();
-            tokens.push(tok);
-        }
+        let sent = sentences.len();
+        tokenizer::token_spans(&text[span.clone()], |start, end| {
+            let (start, end) = (start + span.start, end + span.start);
+            tokens.push(Token {
+                text: text[start..end].to_string(),
+                lemma: String::new(), // set below, once tagged
+                pos: Pos::Other,
+                index: tokens.len(),
+                sent,
+                start,
+                end,
+            });
+        });
         let token_end = tokens.len();
         if token_end > token_start {
             sentences.push(Sentence {
-                index: sentences.len(),
+                index: sent,
                 token_start,
                 token_end,
                 char_start: span.start,
@@ -176,15 +229,9 @@ pub fn analyze(text: &str) -> Document {
             });
         }
     }
-    // Stamp tokens with their (dense) sentence index.
-    for s in &sentences {
-        for t in &mut tokens[s.token_start..s.token_end] {
-            t.sent = s.index;
-        }
-    }
     tag_tokens(&mut tokens);
     for t in &mut tokens {
-        t.lemma = lemmatize(&t.text.to_lowercase(), t.pos);
+        t.lemma = lemmatize(&token::lowercase(&t.text), t.pos);
     }
     Document {
         text: text.to_string(),
@@ -318,6 +365,62 @@ mod tests {
         let view = doc.project(&all);
         assert_eq!(view.tokens, doc.tokens);
         assert_eq!(view.sentences.len(), doc.sentences.len());
+    }
+
+    /// The sentence subsets a distillation can pick: singles, adjacent
+    /// and skip-one pairs, and everything.
+    fn subsets(n: usize) -> Vec<Vec<usize>> {
+        let mut out: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        out.extend((1..n).map(|i| vec![i - 1, i]));
+        out.extend((2..n).map(|i| vec![i - 2, i]));
+        out.push((0..n).collect());
+        out
+    }
+
+    /// `project_sentences` either equals `analyze` of the joined text or
+    /// declines; returns how many subsets it declined.
+    fn declined_subsets(context: &str) -> usize {
+        let doc = analyze(context);
+        let mut declined = 0;
+        for subset in subsets(doc.sentences.len()) {
+            let parts: Vec<String> = subset
+                .iter()
+                .map(|&s| doc.sentence_text(SentId(s)))
+                .collect();
+            let text = parts.join(" ");
+            match doc.project_sentences(&subset, &text) {
+                Some(view) => assert_eq!(view, analyze(&text), "{context:?} {subset:?}"),
+                None => declined += 1,
+            }
+        }
+        declined
+    }
+
+    #[test]
+    fn project_sentences_equals_reanalysis_on_hard_cases() {
+        for context in [
+            "Dr. Smith arrived. He sat down. Mrs. Jones left.",
+            "The U.S. team won. U.K. fans cheered. The U.S. won again.",
+            "B. Obama spoke. J. R. R. Tolkien wrote. Crowds cheered.",
+            "It weighs 3.14 kg. It costs 1,000.50 dollars. 42 is the answer.",
+            "Who won?! The Broncos!! Really?? Yes.",
+            "He said (loudly) that it's over. The team's coach didn't agree.",
+            "Caf\u{e9} na\u{ef}ve Zo\u{eb} left. \u{39f}\u{394}\u{39f}\u{3a3} ends. Stra\u{df}e.",
+            "no terminal punctuation here",
+            "One. Two. Three",
+        ] {
+            assert_eq!(declined_subsets(context), 0, "{context:?}");
+        }
+    }
+
+    #[test]
+    fn project_sentences_declines_when_rejoining_resplits() {
+        // A closing quote after the period joins the next sentence once
+        // re-split; a period glued to the next word splits once re-joined;
+        // a "?"-sentence may start lowercase, which re-joins after ".".
+        assert!(declined_subsets("He said \"stop.\" Then he left. It ended.") > 0);
+        assert!(declined_subsets("The score was high.Then they left. Done.") > 0);
+        assert!(declined_subsets("The team won. Really? yes they did.") > 0);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! and (4) a small contextual repair pass. It is intentionally coarse —
 //! the L-PCFG grammar and the QWS module only need the distinctions below.
 
-use crate::stopwords::{classify, WordClass};
-use crate::token::Token;
+use crate::stopwords::{
+    AUXILIARIES, CONJUNCTIONS, DETERMINERS, PARTICLES, PREPOSITIONS, PRONOUNS, QUESTION_WORDS,
+};
+use crate::token::{lowercase, Token};
+use std::sync::OnceLock;
 
 /// Coarse part-of-speech tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -308,6 +311,47 @@ const COMMON_ADVERBS: &[&str] = &[
     "away", "back", "together",
 ];
 
+/// Every listed word with the tag of the first list naming it: the seven
+/// closed classes in [`crate::stopwords::classify`] order, then the common
+/// verbs, adjectives and adverbs — so "that" stays `Det` (not `Conj`) and
+/// "too" stays `Particle` (not `Adv`). Sorted by word for one
+/// `binary_search` per token.
+fn word_table() -> &'static [(&'static str, Pos)] {
+    static TABLE: OnceLock<Vec<(&'static str, Pos)>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let lists: [(&[&'static str], Pos); 10] = [
+            (QUESTION_WORDS, Pos::Wh),
+            (AUXILIARIES, Pos::Aux),
+            (DETERMINERS, Pos::Det),
+            (PREPOSITIONS, Pos::Prep),
+            (PRONOUNS, Pos::Pronoun),
+            (CONJUNCTIONS, Pos::Conj),
+            (PARTICLES, Pos::Particle),
+            (COMMON_VERBS, Pos::Verb),
+            (COMMON_ADJECTIVES, Pos::Adj),
+            (COMMON_ADVERBS, Pos::Adv),
+        ];
+        let mut table: Vec<(&'static str, Pos)> = lists
+            .iter()
+            .flat_map(|&(words, pos)| words.iter().map(move |&w| (w, pos)))
+            .collect();
+        // The sort is stable and `dedup` keeps the first of a run, so a
+        // word listed twice keeps its earlier list's tag.
+        table.sort_by_key(|&(w, _)| w);
+        table.dedup_by_key(|&mut (w, _)| w);
+        table
+    })
+}
+
+/// The tag the word lists give a lowercased word, if any list names it.
+pub(crate) fn listed_tag(lower: &str) -> Option<Pos> {
+    let table = word_table();
+    table
+        .binary_search_by_key(&lower, |&(w, _)| w)
+        .ok()
+        .map(|i| table[i].1)
+}
+
 /// Tag a mutable slice of tokens in place. Tokens must already carry their
 /// sentence indices (used for sentence-initial capitalization handling).
 pub fn tag_tokens(tokens: &mut [Token]) {
@@ -330,28 +374,12 @@ fn tag_word(text: &str, sent_initial: bool) -> Pos {
     {
         return Pos::Num;
     }
-    let lower = text.to_lowercase();
-    if lower == "'s" || lower == "\u{2019}s" || lower == "n't" || lower == "n\u{2019}t" {
+    let lower = lowercase(text);
+    if matches!(&*lower, "'s" | "\u{2019}s" | "n't" | "n\u{2019}t") {
         return Pos::Particle;
     }
-    match classify(&lower) {
-        WordClass::Question => return Pos::Wh,
-        WordClass::Auxiliary => return Pos::Aux,
-        WordClass::Determiner => return Pos::Det,
-        WordClass::Preposition => return Pos::Prep,
-        WordClass::Pronoun => return Pos::Pronoun,
-        WordClass::Conjunction => return Pos::Conj,
-        WordClass::Particle => return Pos::Particle,
-        WordClass::Open => {}
-    }
-    if COMMON_VERBS.contains(&lower.as_str()) {
-        return Pos::Verb;
-    }
-    if COMMON_ADJECTIVES.contains(&lower.as_str()) {
-        return Pos::Adj;
-    }
-    if COMMON_ADVERBS.contains(&lower.as_str()) {
-        return Pos::Adv;
+    if let Some(pos) = listed_tag(&lower) {
+        return pos;
     }
     // Capitalized mid-sentence => proper noun. Sentence-initial capitalized
     // words fall through to morphology and default to proper noun only if
@@ -418,7 +446,7 @@ fn repair_pass(tokens: &mut [Token]) {
         }
         if tokens[i].pos == Pos::Verb
             && matches!(tokens[i - 1].pos, Pos::Det | Pos::Adj | Pos::Num)
-            && tokens[i].text.to_lowercase().ends_with("ing")
+            && lowercase(&tokens[i].text).ends_with("ing")
         {
             tokens[i].pos = Pos::Noun;
         }
@@ -429,6 +457,207 @@ fn repair_pass(tokens: &mut [Token]) {
 mod tests {
     use super::*;
     use crate::analyze;
+    use crate::stopwords::WordClass;
+
+    /// The tagger before the word table: seven closed-class scans in
+    /// order, then the verb, adjective and adverb lists. Kept as the
+    /// oracle the table must agree with.
+    mod cascade {
+        use super::super::*;
+        use crate::stopwords::WordClass;
+
+        pub fn classify(word: &str) -> WordClass {
+            if QUESTION_WORDS.contains(&word) {
+                WordClass::Question
+            } else if AUXILIARIES.contains(&word) {
+                WordClass::Auxiliary
+            } else if DETERMINERS.contains(&word) {
+                WordClass::Determiner
+            } else if PREPOSITIONS.contains(&word) {
+                WordClass::Preposition
+            } else if PRONOUNS.contains(&word) {
+                WordClass::Pronoun
+            } else if CONJUNCTIONS.contains(&word) {
+                WordClass::Conjunction
+            } else if PARTICLES.contains(&word) {
+                WordClass::Particle
+            } else {
+                WordClass::Open
+            }
+        }
+
+        pub fn tag_word(text: &str, sent_initial: bool) -> Pos {
+            if text.chars().all(|c| !c.is_alphanumeric()) {
+                return Pos::Punct;
+            }
+            if text
+                .chars()
+                .all(|c| c.is_ascii_digit() || c == '.' || c == ',')
+            {
+                return Pos::Num;
+            }
+            let lower = text.to_lowercase();
+            if lower == "'s" || lower == "\u{2019}s" || lower == "n't" || lower == "n\u{2019}t" {
+                return Pos::Particle;
+            }
+            match classify(&lower) {
+                WordClass::Question => return Pos::Wh,
+                WordClass::Auxiliary => return Pos::Aux,
+                WordClass::Determiner => return Pos::Det,
+                WordClass::Preposition => return Pos::Prep,
+                WordClass::Pronoun => return Pos::Pronoun,
+                WordClass::Conjunction => return Pos::Conj,
+                WordClass::Particle => return Pos::Particle,
+                WordClass::Open => {}
+            }
+            if COMMON_VERBS.contains(&lower.as_str()) {
+                return Pos::Verb;
+            }
+            if COMMON_ADJECTIVES.contains(&lower.as_str()) {
+                return Pos::Adj;
+            }
+            if COMMON_ADVERBS.contains(&lower.as_str()) {
+                return Pos::Adv;
+            }
+            let capitalized = text.chars().next().is_some_and(|c| c.is_uppercase());
+            if capitalized && !sent_initial {
+                return Pos::ProperNoun;
+            }
+            if let Some(pos) = suffix_tag(&lower) {
+                return pos;
+            }
+            if capitalized {
+                return Pos::ProperNoun;
+            }
+            Pos::Noun
+        }
+    }
+
+    const ALL_LISTS: [&[&str]; 10] = [
+        QUESTION_WORDS,
+        AUXILIARIES,
+        DETERMINERS,
+        PREPOSITIONS,
+        PRONOUNS,
+        CONJUNCTIONS,
+        PARTICLES,
+        COMMON_VERBS,
+        COMMON_ADJECTIVES,
+        COMMON_ADVERBS,
+    ];
+
+    /// `word` in lower, capitalized and upper case, sentence-initial and
+    /// mid-sentence: the table tagger agrees with the cascade on each.
+    fn assert_tags_agree(word: &str) {
+        let mut cap = word.chars();
+        let capitalized: String = cap
+            .next()
+            .map(|c| c.to_uppercase().chain(cap).collect())
+            .unwrap_or_default();
+        for form in [word.to_string(), capitalized, word.to_uppercase()] {
+            for sent_initial in [true, false] {
+                assert_eq!(
+                    tag_word(&form, sent_initial),
+                    cascade::tag_word(&form, sent_initial),
+                    "{form:?} (sentence-initial: {sent_initial})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_matches_cascade_on_every_listed_word() {
+        for list in ALL_LISTS {
+            for word in list {
+                assert_tags_agree(word);
+                assert_eq!(
+                    crate::stopwords::classify(word),
+                    cascade::classify(word),
+                    "{word}"
+                );
+            }
+        }
+        // The cross-listed words resolve to the earlier list.
+        assert_eq!(tag_word("that", false), Pos::Det);
+        assert_eq!(tag_word("too", false), Pos::Particle);
+        assert_eq!(tag_word("also", false), Pos::Particle);
+        assert_eq!(crate::stopwords::classify("that"), WordClass::Determiner);
+    }
+
+    #[test]
+    fn table_matches_cascade_on_suffix_and_name_corpus() {
+        let words = [
+            "quickly",
+            "ly",
+            "holy",
+            "running",
+            "sing",
+            "thing",
+            "organized",
+            "realised",
+            "walked",
+            "red",
+            "bed",
+            "famous",
+            "bus",
+            "careful",
+            "massive",
+            "capable",
+            "visible",
+            "foolish",
+            "endless",
+            "historical",
+            "official",
+            "celebration",
+            "nation",
+            "mission",
+            "payment",
+            "darkness",
+            "city",
+            "unity",
+            "friendship",
+            "ship",
+            "tourism",
+            "prism",
+            "broncos",
+            "panthers",
+            "denver",
+            "obama",
+            "kg",
+            "x",
+            "abc123",
+            "b-52",
+            "knowles-carter",
+            "don't",
+            "it's",
+            "o'neill",
+            "café",
+            "straße",
+            "ζωή",
+            "ΟΔΟΣ",
+            "İstanbul",
+            "1066",
+            "3.14",
+            "1,000",
+            "'s",
+            "n't",
+            "n\u{2019}t",
+            "\u{2019}s",
+            "...",
+            "(",
+            "—",
+        ];
+        for word in words {
+            assert_tags_agree(word);
+        }
+        for list in ALL_LISTS {
+            for word in list {
+                for suffix in ["ly", "ing", "ed", "tion", "ness", "ous", "s"] {
+                    assert_tags_agree(&format!("{word}{suffix}"));
+                }
+            }
+        }
+    }
 
     fn pos_of(text: &str, word: &str) -> Pos {
         let doc = analyze(text);

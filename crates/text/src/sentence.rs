@@ -5,6 +5,7 @@
 //! "Dr. Smith" or "U.S. team" do not split. This mirrors the behaviour GCED
 //! needs from CoreNLP: contexts in the paper's datasets are edited prose.
 
+use crate::token::lowercase;
 use std::ops::Range;
 
 /// Abbreviations that do not terminate a sentence when followed by a period.
@@ -64,15 +65,13 @@ fn is_boundary(text: &str, chars: &[(usize, char)], i: usize, j: usize) -> bool 
     }
     // Token immediately before the period.
     let before = &text[..byte];
-    let last_word: String = before
-        .chars()
+    let word_start = before
+        .char_indices()
         .rev()
-        .take_while(|c| c.is_alphanumeric() || *c == '.')
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect();
-    let lw = last_word.to_lowercase();
+        .take_while(|&(_, c)| c.is_alphanumeric() || c == '.')
+        .last()
+        .map_or(before.len(), |(i, _)| i);
+    let lw = lowercase(&before[word_start..]);
     // Single-letter initial like "B." in "B. Obama".
     if lw.len() == 1 && lw.chars().all(|c| c.is_alphabetic()) {
         return false;

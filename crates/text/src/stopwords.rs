@@ -5,6 +5,8 @@
 //! prepositions, pronouns) and punctuation. The remaining words are the
 //! significant words used to find question-relevant clue words.
 
+use crate::pos::Pos;
+
 /// Coarse closed-class membership for a lowercased word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WordClass {
@@ -100,24 +102,19 @@ pub const PARTICLES: &[&str] = &[
     "off", "down",
 ];
 
-/// Classify a lowercased word into its closed-class category.
+/// Classify a lowercased word into its closed-class category (one lookup
+/// in the tagger's word table, whose first-list-wins precedence is this
+/// list order).
 pub fn classify(word: &str) -> WordClass {
-    if QUESTION_WORDS.contains(&word) {
-        WordClass::Question
-    } else if AUXILIARIES.contains(&word) {
-        WordClass::Auxiliary
-    } else if DETERMINERS.contains(&word) {
-        WordClass::Determiner
-    } else if PREPOSITIONS.contains(&word) {
-        WordClass::Preposition
-    } else if PRONOUNS.contains(&word) {
-        WordClass::Pronoun
-    } else if CONJUNCTIONS.contains(&word) {
-        WordClass::Conjunction
-    } else if PARTICLES.contains(&word) {
-        WordClass::Particle
-    } else {
-        WordClass::Open
+    match crate::pos::listed_tag(word) {
+        Some(Pos::Wh) => WordClass::Question,
+        Some(Pos::Aux) => WordClass::Auxiliary,
+        Some(Pos::Det) => WordClass::Determiner,
+        Some(Pos::Prep) => WordClass::Preposition,
+        Some(Pos::Pronoun) => WordClass::Pronoun,
+        Some(Pos::Conj) => WordClass::Conjunction,
+        Some(Pos::Particle) => WordClass::Particle,
+        _ => WordClass::Open,
     }
 }
 
@@ -125,7 +122,7 @@ pub fn classify(word: &str) -> WordClass {
 /// content and must be removed before clue-word matching. Punctuation is
 /// handled by the caller via POS; this covers the lexical classes.
 pub fn is_insignificant_question_word(word: &str) -> bool {
-    let lower = word.to_lowercase();
+    let lower = crate::token::lowercase(word);
     if !lower.chars().any(|c| c.is_alphanumeric()) {
         return true; // pure punctuation
     }

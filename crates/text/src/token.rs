@@ -1,6 +1,7 @@
 //! Token and sentence types shared across the workspace.
 
 use crate::pos::Pos;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Index of a token within a [`crate::Document`] (global, dense).
@@ -67,6 +68,12 @@ impl Token {
         self.text.to_lowercase()
     }
 
+    /// [`Token::lower`] without the allocation when the surface form is
+    /// already lowercase ASCII.
+    pub fn lower_cow(&self) -> Cow<'_, str> {
+        lowercase(&self.text)
+    }
+
     /// True for punctuation tokens.
     pub fn is_punct(&self) -> bool {
         self.pos == Pos::Punct
@@ -75,6 +82,19 @@ impl Token {
     /// True if this token's surface form is purely alphabetic.
     pub fn is_alpha(&self) -> bool {
         !self.text.is_empty() && self.text.chars().all(|c| c.is_alphabetic())
+    }
+}
+
+/// `text.to_lowercase()`, borrowing `text` when it is already lowercase
+/// ASCII (most tokens are).
+pub(crate) fn lowercase(text: &str) -> Cow<'_, str> {
+    if text
+        .bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+    {
+        Cow::Borrowed(text)
+    } else {
+        Cow::Owned(text.to_lowercase())
     }
 }
 

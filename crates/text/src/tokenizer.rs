@@ -15,9 +15,19 @@ use crate::token::Token;
 /// into `text`. Token `index`/`sent` fields are left at 0 for the caller
 /// (the [`crate::analyze`] pipeline) to fill in.
 pub fn tokenize(text: &str) -> Vec<Token> {
+    let mut out = Vec::new();
+    token_spans(text, |start, end| {
+        out.push(Token::raw(&text[start..end], start, end))
+    });
+    out
+}
+
+/// Call `emit(start, end)` with the byte range of each token of `text`,
+/// in order: the cutting half of [`tokenize`], which allocates nothing
+/// per token.
+pub(crate) fn token_spans(text: &str, mut emit: impl FnMut(usize, usize)) {
     let chars: Vec<(usize, char)> = text.char_indices().collect();
     let n = chars.len();
-    let mut out = Vec::new();
     let mut i = 0;
     while i < n {
         let (byte, c) = chars[i];
@@ -50,8 +60,7 @@ pub fn tokenize(text: &str) -> Vec<Token> {
                 }
             }
             let end_byte = if j < n { chars[j].0 } else { text.len() };
-            let word = &text[start_byte..end_byte];
-            emit_word(word, start_byte, &mut out);
+            emit_word(&text[start_byte..end_byte], start_byte, &mut emit);
             i = j;
         } else {
             // Single-character punctuation/symbol token.
@@ -60,19 +69,23 @@ pub fn tokenize(text: &str) -> Vec<Token> {
             } else {
                 text.len()
             };
-            out.push(Token::raw(&text[byte..end_byte], byte, end_byte));
+            emit(byte, end_byte);
             i += 1;
         }
     }
-    out
 }
 
 /// Emit `word` (possibly splitting clitics) starting at byte offset `base`.
-fn emit_word(word: &str, base: usize, out: &mut Vec<Token>) {
-    let lower = word.to_lowercase();
+fn emit_word(word: &str, base: usize, emit: &mut impl FnMut(usize, usize)) {
+    // The last three characters, lowercased: only ASCII letters lowercase
+    // to the ASCII letters the clitics end in.
+    let mut tail = word.chars().rev().map(|c| c.to_ascii_lowercase());
+    let (last, apostrophe, before) = (tail.next(), tail.next(), tail.next());
+    let apostrophe = matches!(apostrophe, Some('\'' | '\u{2019}'));
     // Split possessive 's (but keep contractions like "it's" whole: they are
     // genuinely ambiguous, and the synthetic corpora only use possessives).
-    if lower.len() > 2 && (lower.ends_with("'s") || lower.ends_with("\u{2019}s")) {
+    // A word starts alphanumeric, so one ending in 's has a head.
+    if last == Some('s') && apostrophe {
         let cut = word.len()
             - word
                 .chars()
@@ -82,13 +95,13 @@ fn emit_word(word: &str, base: usize, out: &mut Vec<Token>) {
                 .sum::<usize>();
         let head = &word[..cut];
         if !head.is_empty() && head.chars().all(|c| c.is_alphanumeric() || c == '-') {
-            out.push(Token::raw(head, base, base + cut));
-            out.push(Token::raw(&word[cut..], base + cut, base + word.len()));
+            emit(base, base + cut);
+            emit(base + cut, base + word.len());
             return;
         }
     }
     // Split n't ("didn't" -> "did" + "n't").
-    if lower.len() > 3 && (lower.ends_with("n't") || lower.ends_with("n\u{2019}t")) {
+    if last == Some('t') && apostrophe && before == Some('n') {
         let tail_len = word
             .chars()
             .rev()
@@ -97,12 +110,12 @@ fn emit_word(word: &str, base: usize, out: &mut Vec<Token>) {
             .sum::<usize>();
         let cut = word.len() - tail_len;
         if !word[..cut].is_empty() {
-            out.push(Token::raw(&word[..cut], base, base + cut));
-            out.push(Token::raw(&word[cut..], base + cut, base + word.len()));
+            emit(base, base + cut);
+            emit(base + cut, base + word.len());
             return;
         }
     }
-    out.push(Token::raw(word, base, base + word.len()));
+    emit(base, base + word.len());
 }
 
 #[cfg(test)]

@@ -22,6 +22,124 @@ fn pipeline() -> &'static (Gced, gced_datasets::Dataset) {
     })
 }
 
+/// Dev splits of every generator kind (no fitting), seed 9501.
+fn kind_split(kind: usize) -> &'static gced_datasets::Dataset {
+    static SPLITS: OnceLock<Vec<gced_datasets::Dataset>> = OnceLock::new();
+    &SPLITS.get_or_init(|| {
+        DatasetKind::all()
+            .into_iter()
+            .map(|k| {
+                generate(
+                    k,
+                    GeneratorConfig {
+                        train: 1,
+                        dev: 64,
+                        seed: 9501,
+                    },
+                )
+            })
+            .collect()
+    })[kind]
+}
+
+/// Words that stress the span-F1 bound's per-token normalization: glued
+/// clitics, brackets, article- and punctuation-only tokens, non-ASCII
+/// text (with a Greek final sigma) and numbers.
+const ODD_WORDS: &[&str] = &[
+    "n't",
+    "didn't",
+    "DIDN'T",
+    "won't",
+    "Bob's",
+    "'s",
+    "it's",
+    "(AFC)",
+    "[x]",
+    "{y}",
+    "the",
+    "The",
+    "a",
+    "an",
+    "An",
+    "A",
+    "...",
+    "!?",
+    "--",
+    "%",
+    "50%",
+    "\"",
+    "'",
+    "Σ",
+    "ΟΔΟΣ",
+    "ΟΔΟΣ's",
+    "café",
+    "naïve",
+    "İstanbul",
+    "Straße",
+    "3.14",
+    "1,000",
+    "U.S.",
+    "Dr.",
+    "B.",
+    "Broncos",
+    "rock'n'roll",
+    "Knowles-Carter",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The allocation-free span-F1 bound equals the joined-string oracle
+    /// bit for bit: on every generator kind, against the example's own
+    /// answer, a neighbour's, and answers and contexts salted with odd
+    /// words (including answers that normalize to nothing).
+    #[test]
+    fn ase_f1_bounds_match_reference_oracle(
+        kind in 0usize..4,
+        idx in 0usize..64,
+        pick in 0usize..3,
+        salt in prop::collection::vec(prop::sample::select(ODD_WORDS.to_vec()), 0..10),
+    ) {
+        let examples = &kind_split(kind).dev.examples;
+        let ex = &examples[idx % examples.len()];
+        let odd = salt.join(" ");
+        let answer = match pick {
+            0 => ex.answer.clone(),
+            1 => examples[(idx + 1) % examples.len()].answer.clone(),
+            _ => format!("{} {odd}", salt.first().copied().unwrap_or("")),
+        };
+        let context = format!("{odd} {}. {odd} {} {odd}", ex.answer, ex.context);
+        let doc = gced_text::analyze(&context);
+        let bits = |b: Vec<f64>| b.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(gced::ase::sentence_f1_bounds(&doc, &answer)),
+            bits(gced::ase::reference::sentence_f1_bounds(&doc, &answer))
+        );
+    }
+
+    /// The projected answer-oriented sentences equal a fresh analysis of
+    /// their joined text — tokens, tags, lemmas, offsets and sentence
+    /// ranges — on every generator kind, for every subset shape ASE
+    /// picks: single sentences, adjacent and skip-one pairs, the whole
+    /// context. Generated prose never needs the re-analysis fallback.
+    #[test]
+    fn projected_aos_matches_reanalysis_on_every_kind(kind in 0usize..4, idx in 0usize..64) {
+        let examples = &kind_split(kind).dev.examples;
+        let doc = gced_text::analyze(&examples[idx % examples.len()].context);
+        let n = doc.sentences.len();
+        let mut subsets: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        subsets.extend((1..n).map(|i| vec![i - 1, i]));
+        subsets.extend((2..n).map(|i| vec![i - 2, i]));
+        subsets.push((0..n).collect());
+        for subset in subsets {
+            let text = gced::ase::subset_text(&doc, &subset);
+            let view = doc.project_sentences(&subset, &text);
+            prop_assert!(view.is_some(), "projection declined {:?}: {:?}", subset, text);
+            prop_assert_eq!(view.unwrap(), gced_text::analyze(&text));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -113,7 +231,8 @@ proptest! {
     /// is bit-identical to the paper-literal `ase::reference` oracle on
     /// the full pipeline: same sentences, exact flag, best F1, and step
     /// log — and the end-to-end distillation (both phases through the
-    /// reference formulations) matches byte for byte.
+    /// reference formulations, the AOS analysed afresh instead of
+    /// projected) matches byte for byte.
     #[test]
     fn optimized_grow_matches_reference_oracle(idx in 0usize..80) {
         let (g, ds) = pipeline();
