@@ -12,6 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gced::{Gced, GcedConfig};
 use gced_datasets::{generate, DatasetKind, GeneratorConfig, ShardSpec};
 use gced_eval::shard::{merge, ShardMetric, ShardOutput, ShardRow};
+use gced_nn::kernels::Kernel;
 use gced_nn::{AttentionConfig, EmbeddingTable, MultiHeadAttention};
 use gced_parser::CkyParser;
 use std::hint::black_box;
@@ -70,6 +71,16 @@ fn bench_substrates(c: &mut Criterion) {
     c.bench_function("nn/attention_16head_d64", |b| {
         b.iter(|| mha.attend_words(black_box(&words), &table))
     });
+    // The same recipe on the AVX2 rung of the kernel ladder, so hosts
+    // without AVX-512 have a measured figure too.
+    if Kernel::Avx2.is_available() {
+        c.bench_function("nn/attention_16head_d64_avx2", |b| {
+            b.iter(|| {
+                let x = mha.embed_sequence(black_box(&words), &table);
+                mha.attention_matrix_on(Kernel::Avx2, &x)
+            })
+        });
+    }
 
     // Kernel micro-benches: the two matmul shapes the attention hot path
     // is built from (projection-shaped A·B and score-shaped A·Bᵀ), plus

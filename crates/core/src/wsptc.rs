@@ -40,15 +40,21 @@ pub fn construct(
     let mut weights = vec![0.0f64; n];
     if n > 0 {
         let words: Vec<String> = aos.tokens.iter().map(|t| t.lower()).collect();
-        let attn = mha.attend_words(&words, emb);
-        for (i, weight) in weights.iter_mut().enumerate() {
-            if let Some(p) = tree.parent(i) {
-                // Symmetrized attention between the two endpoints: the
-                // paper reads "attention from a node to its child node";
-                // averaging both directions keeps the weight insensitive
-                // to row-normalization artifacts.
-                *weight = 0.5 * (attn.get(p, i) + attn.get(i, p)) as f64;
-            }
+        let x = mha.embed_sequence(&words, emb);
+        // Only the entries the tree reads: `A[p][i]` and `A[i][p]` per
+        // edge, bitwise equal to the full matrix's.
+        let edges: Vec<(usize, usize)> = (0..n)
+            .filter_map(|i| tree.parent(i).map(|p| (i, p)))
+            .collect();
+        let pairs: Vec<(usize, usize)> =
+            edges.iter().flat_map(|&(i, p)| [(p, i), (i, p)]).collect();
+        let attn = mha.attention_entries(&x, &pairs);
+        for (&(i, _), a) in edges.iter().zip(attn.chunks_exact(2)) {
+            // Symmetrized attention between the two endpoints: the
+            // paper reads "attention from a node to its child node";
+            // averaging both directions keeps the weight insensitive
+            // to row-normalization artifacts.
+            weights[i] = 0.5 * (a[0] + a[1]) as f64;
         }
     }
     WeightedTree { tree, weights }
@@ -100,6 +106,22 @@ mod tests {
         let b = construct(&parser, &mha, &emb, &aos);
         assert_eq!(a.tree, b.tree);
         assert_eq!(a.weights, b.weights);
+    }
+
+    #[test]
+    fn edge_weights_equal_the_full_attention_matrix() {
+        let (parser, mha, emb) = substrate();
+        let aos = analyze("The Broncos won the title. The team celebrated the win in Denver.");
+        let wt = construct(&parser, &mha, &emb, &aos);
+        let words: Vec<String> = aos.tokens.iter().map(|t| t.lower()).collect();
+        let attn = mha.attend_words(&words, &emb);
+        for i in 0..aos.len() {
+            let want = match wt.tree.parent(i) {
+                Some(p) => 0.5 * (attn.get(p, i) + attn.get(i, p)) as f64,
+                None => 0.0,
+            };
+            assert_eq!(wt.edge_weight(i).to_bits(), want.to_bits(), "node {i}");
+        }
     }
 
     #[test]

@@ -9,23 +9,31 @@
 //! nearby tokens attend more — the locality bias real layer-1 heads show.
 //!
 //! The quantity GCED consumes is the **token-to-token attention
-//! probability matrix**; following the paper we expose the per-head
-//! softmax scores averaged over heads via
-//! [`MultiHeadAttention::attention_matrix`], and the full Eq. 8 output
-//! (concat + `Wo`) via [`MultiHeadAttention::encode`].
+//! probability matrix**. Following the paper, the per-head softmax
+//! scores are averaged over heads:
+//! [`MultiHeadAttention::attention_matrix`] returns every entry, and
+//! [`MultiHeadAttention::attention_entries`] returns only the entries
+//! a caller reads (WSPTC reads two per tree edge). The full Eq. 8
+//! output (concat + `Wo`) is [`MultiHeadAttention::encode`].
 //!
-//! Both run **fused**: the score → scale → softmax → value-weighting
-//! chain streams one query row at a time through the blocked kernels of
-//! [`crate::kernels`], so the full `n×n` per-head score matrix is never
-//! materialized — per row, a length-`n` score buffer is filled by the
-//! register-tiled dot kernel, softmaxed in place, and immediately
-//! consumed. Every reduction uses the fixed 8-lane tree, so the fused
-//! passes are bitwise-identical to the materialized scalar oracle in
-//! [`crate::reference`] (property-tested), and identical on any machine
-//! at any thread count.
+//! Both probability entry points run one pass, which is two panel GEMMs
+//! ([`crate::kernels::gemm_panels`]) and a head-vectorized softmax:
+//!
+//! 1. the score kernels `C_h`, packed once with columns in `(j, h)`
+//!    order, give `P = X·C`, in which query row `i` is a `[j][h]` panel;
+//! 2. `S = X·[P_i0 | … | P_i1]` scores a block of queries against every
+//!    key under every head;
+//! 3. the softmax runs down the keys with sixteen heads in one
+//!    register. The divide and the in-order head average are done only
+//!    for the entries that are read.
+//!
+//! Every reduction uses the fixed 8-lane tree and the canonical
+//! softmax order, so both are bitwise-identical to the materialized
+//! scalar oracle in [`crate::reference`] (property-tested on every
+//! kernel family), and identical on any machine at any thread count.
 
 use crate::embedding::EmbeddingTable;
-use crate::kernels;
+use crate::kernels::{self, Kernel, PANEL};
 use crate::matrix::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,11 +86,16 @@ pub struct MultiHeadAttention {
     /// per-head Q/K projections of the hot path (≈ 1.7× fewer MACs on
     /// every WSPTC construction).
     score_kernels: Vec<Matrix>,
-    /// The same kernels, transposed and stacked into one packed
-    /// `(heads·d_model) × d_model` matrix (row `h·d_model + j` is column
-    /// `j` of `C_h`): the fused path computes every head's projection
-    /// `X·C_h` in a single `matmul_nt` sweep with no per-call packing.
-    score_kernels_t: Matrix,
+    /// Every `C_h` packed as one `d_model × (d_model·head_slots)`
+    /// right-hand operand of [`kernels::gemm_panels`], columns in
+    /// `(j, h)` order: column `(g·d_model + j)·16 + c` is column `j` of
+    /// `C_{16g+c}` (zero for the padding heads `h ≥ heads`). The product
+    /// `P = X·C` then holds query row `i` as `d_model × head_slots`
+    /// panels — exactly the packed right-hand operand of the score
+    /// product, with no repacking.
+    score_panels: Vec<f32>,
+    /// `heads` rounded up to a whole number of panels.
+    head_slots: usize,
     /// Positional encodings for the first rows, precomputed (the `powf`
     /// per element is measurable on the distill hot path).
     positional_cache: Matrix,
@@ -120,8 +133,15 @@ impl MultiHeadAttention {
             })
             .collect();
         let d = config.d_model;
-        let score_kernels_t = Matrix::from_fn(config.heads * d, d, |r, c| {
-            score_kernels[r / d].get(c, r % d)
+        let head_slots = config.heads.div_ceil(PANEL) * PANEL;
+        let score_panels = kernels::pack_panels(d, d * head_slots, |row, col| {
+            let (g, j) = ((col / PANEL) / d, (col / PANEL) % d);
+            let h = g * PANEL + col % PANEL;
+            if h < config.heads {
+                score_kernels[h].get(row, j)
+            } else {
+                0.0
+            }
         });
         let positional_cache = Matrix::from_fn(POSITIONAL_CACHE_ROWS, config.d_model, |p, j| {
             positional(p, j, config.d_model)
@@ -136,7 +156,8 @@ impl MultiHeadAttention {
             head_v,
             wo,
             score_kernels,
-            score_kernels_t,
+            score_panels,
+            head_slots,
             positional_cache,
         }
     }
@@ -166,9 +187,10 @@ impl MultiHeadAttention {
     /// `n × d_model` matrix.
     ///
     /// Base embeddings are memoized per distinct surface form within the
-    /// call — repeated words copy the first occurrence's row instead of
-    /// re-hashing character n-grams — then one pass adds the positional
-    /// term. Same bits as embedding each position independently.
+    /// call — repeated words copy the first occurrence's row in place
+    /// instead of re-hashing character n-grams — then one pass adds the
+    /// positional term. Same bits as embedding each position
+    /// independently.
     pub fn embed_sequence(&self, words: &[String], table: &EmbeddingTable) -> Matrix {
         assert_eq!(table.dim(), self.config.d_model, "embedding dim mismatch");
         let n = words.len();
@@ -177,10 +199,7 @@ impl MultiHeadAttention {
         let mut first: HashMap<&str, usize> = HashMap::new();
         for (i, word) in words.iter().enumerate() {
             match first.get(word.as_str()) {
-                Some(&src) => {
-                    let row: Vec<f32> = x.row(src).to_vec();
-                    x.row_mut(i).copy_from_slice(&row);
-                }
+                Some(&src) => x.copy_row(src, i),
                 None => {
                     table.embed_into(word, x.row_mut(i));
                     first.insert(word.as_str(), i);
@@ -190,8 +209,8 @@ impl MultiHeadAttention {
         let w = self.config.positional_weight;
         for i in 0..n {
             if i < POSITIONAL_CACHE_ROWS {
-                let pe: Vec<f32> = self.positional_cache.row(i).to_vec();
-                for (v, p) in x.row_mut(i).iter_mut().zip(&pe) {
+                let pe = self.positional_cache.row(i);
+                for (v, p) in x.row_mut(i).iter_mut().zip(pe) {
                     // gced-allow(DET002): elementwise positional bias, one add per element — no reduction order exists
                     *v += w * p;
                 }
@@ -208,36 +227,153 @@ impl MultiHeadAttention {
     /// Eq. 7 attention probabilities, averaged over all heads:
     /// `A[i][j]` = mean_h softmax_j(Q_h(i)·K_h(j)/√d_k). Rows sum to 1.
     ///
-    /// Fused row-streaming pass over the precomputed score kernels
-    /// (`Q_h·K_hᵀ = (X·C_h)·Xᵀ`): one packed `matmul_nt` computes every
-    /// head's `X·C_h` projection, then per query row the length-`n`
-    /// score row is built by the register-tiled dot kernel (`X` itself
-    /// is the packed transpose of `Xᵀ`, so no transpose is ever
-    /// materialized), scaled, softmaxed in place, and accumulated — the
-    /// `n×n` per-head score matrix never exists. Bitwise-equal to
+    /// Every entry, through the same blocked pass as
+    /// [`MultiHeadAttention::attention_entries`]. Bitwise-equal to
     /// [`crate::reference::attention_matrix`].
     pub fn attention_matrix(&self, x: &Matrix) -> Matrix {
+        self.attention_matrix_on(Kernel::detect(), x)
+    }
+
+    /// [`MultiHeadAttention::attention_matrix`] on an explicit kernel
+    /// family (parity tests and per-family benches); panics if the host
+    /// lacks it.
+    pub fn attention_matrix_on(&self, kernel: Kernel, x: &Matrix) -> Matrix {
+        let n = x.rows();
+        let inv = 1.0 / self.config.heads as f32;
+        let mut avg = Matrix::zeros(n, n);
+        self.attention_blocks(
+            kernel,
+            x,
+            |_| true,
+            |i, probs| {
+                for (t, a) in avg.row_mut(i).iter_mut().enumerate() {
+                    *a = probs.mean(t, inv);
+                }
+            },
+        );
+        avg
+    }
+
+    /// The entries `A[r][c]` of [`MultiHeadAttention::attention_matrix`]
+    /// for each requested `(r, c)`, in request order — bitwise equal to
+    /// `attention_matrix(x).get(r, c)`. Pairs may repeat and come in any
+    /// order.
+    ///
+    /// A query row's softmax needs its whole score row, so every
+    /// requested row is scored in full; what is skipped is every
+    /// unrequested query block, the divide and head average of every
+    /// unrequested entry, and the `n × n` result. WSPTC reads
+    /// `2(n − 1)` entries of the `n²`. Panics on an index outside `x`'s
+    /// rows.
+    pub fn attention_entries(&self, x: &Matrix, pairs: &[(usize, usize)]) -> Vec<f32> {
+        self.attention_entries_on(Kernel::detect(), x, pairs)
+    }
+
+    /// [`MultiHeadAttention::attention_entries`] on an explicit kernel
+    /// family; panics if the host lacks it.
+    pub fn attention_entries_on(
+        &self,
+        kernel: Kernel,
+        x: &Matrix,
+        pairs: &[(usize, usize)],
+    ) -> Vec<f32> {
+        let n = x.rows();
+        for &(r, c) in pairs {
+            assert!(r < n && c < n, "attention entry ({r}, {c}) outside {n}x{n}");
+        }
+        // Request indices grouped by query row.
+        let mut by_row: Vec<usize> = (0..pairs.len()).collect();
+        by_row.sort_unstable_by_key(|&e| pairs[e].0);
+        let first_at = |row: usize| by_row.partition_point(|&e| pairs[e].0 < row);
+        let inv = 1.0 / self.config.heads as f32;
+        let mut out = vec![0.0f32; pairs.len()];
+        self.attention_blocks(
+            kernel,
+            x,
+            |rows| {
+                let lo = first_at(rows.start);
+                lo < by_row.len() && pairs[by_row[lo]].0 < rows.end
+            },
+            |i, probs| {
+                for &e in by_row[first_at(i)..]
+                    .iter()
+                    .take_while(|&&e| pairs[e].0 == i)
+                {
+                    out[e] = probs.mean(pairs[e].1, inv);
+                }
+            },
+        );
+        out
+    }
+
+    /// The one attention pass behind [`MultiHeadAttention::attention_matrix`]
+    /// and [`MultiHeadAttention::attention_entries`], over blocks of
+    /// [`QUERY_BLOCK`] query rows (`wanted` skips a block; `visit` reads
+    /// each query row's head probabilities):
+    ///
+    /// 1. `P = X_block · C` ([`kernels::gemm_panels`] on the packed score
+    ///    kernels) leaves query row `i` as `d_model × head_slots` panels
+    ///    holding `(X·C_h)[i][j]` at `[j][h]`;
+    /// 2. `S = X · [P_i0 | … | P_i1]` (the panels, as they lie) gives
+    ///    `S[t][b·head_slots + h]`, the score of query `i0 + b` against
+    ///    key `t` under head `h` — `fma(X[t][j], P[i][j])` is
+    ///    `fma(P[i][j], X[t][j])`, so each is the oracle's
+    ///    `dot((X·C_h)[i], X[t])`;
+    /// 3. [`kernels::softmax_heads`] scales, takes the running max,
+    ///    exponentiates and sums over `t` with sixteen heads per
+    ///    register; the divide is left to [`QueryProbs::mean`], so only
+    ///    the entries a caller reads pay for it.
+    ///
+    /// Scratch is `O(block·d_model·heads + n·block·heads)`, never
+    /// `O(n²·heads)`.
+    fn attention_blocks(
+        &self,
+        kernel: Kernel,
+        x: &Matrix,
+        mut wanted: impl FnMut(std::ops::Range<usize>) -> bool,
+        mut visit: impl FnMut(usize, QueryProbs<'_>),
+    ) {
         let n = x.rows();
         let d = self.config.d_model;
-        let heads = self.config.heads;
+        let hs = self.head_slots;
         let scale = 1.0 / (self.config.d_k as f32).sqrt();
-        // P[i][h·d + j] = (X·C_h)[i][j], all heads in one blocked sweep.
-        let p = x.matmul_nt(&self.score_kernels_t);
-        let mut avg = Matrix::zeros(n, n);
-        let mut s = vec![0.0f32; n];
-        for i in 0..n {
-            for h in 0..heads {
-                let pi = &p.row(i)[h * d..(h + 1) * d];
-                score_row(pi, x, scale, &mut s);
-                kernels::softmax(&mut s);
-                for (a, &v) in avg.row_mut(i).iter_mut().zip(&s) {
-                    // gced-allow(DET002): sequential accumulation in fixed head order h = 0..heads, bitwise-mirrored by reference::attention_matrix
-                    *a += v;
+        let block = n.min(QUERY_BLOCK);
+        let mut p = vec![0.0f32; block * d * hs];
+        let mut s = vec![0.0f32; n * block * hs];
+        let mut sums = vec![0.0f32; hs];
+        for i0 in (0..n).step_by(QUERY_BLOCK) {
+            let i1 = (i0 + QUERY_BLOCK).min(n);
+            if !wanted(i0..i1) {
+                continue;
+            }
+            let nb = i1 - i0;
+            let p = &mut p[..nb * d * hs];
+            let rows = &x.as_slice()[i0 * d..i1 * d];
+            kernels::gemm_panels(kernel, rows, nb, d, &self.score_panels, d * hs, p);
+            let ld = nb * hs;
+            let s = &mut s[..n * ld];
+            kernels::gemm_panels(kernel, x.as_slice(), n, d, p, ld, s);
+            for b in 0..nb {
+                for (g, sum) in sums.chunks_exact_mut(PANEL).enumerate() {
+                    let col = b * hs + g * PANEL;
+                    sum.copy_from_slice(&kernels::softmax_heads(
+                        kernel,
+                        &mut s[col..],
+                        n,
+                        ld,
+                        scale,
+                    ));
                 }
+                let probs = QueryProbs {
+                    exps: s,
+                    sums: &sums,
+                    stride: ld,
+                    offset: b * hs,
+                    heads: self.config.heads,
+                };
+                visit(i0 + b, probs);
             }
         }
-        avg.scale(1.0 / heads as f32);
-        avg
     }
 
     /// Full Eq. 8: per-head attention-weighted values, concatenated and
@@ -274,6 +410,29 @@ impl MultiHeadAttention {
     /// Convenience: attention matrix straight from words.
     pub fn attend_words(&self, words: &[String], table: &EmbeddingTable) -> Matrix {
         self.attention_matrix(&self.embed_sequence(words, table))
+    }
+}
+
+/// Query rows per [`MultiHeadAttention::attention_blocks`] step.
+const QUERY_BLOCK: usize = 16;
+
+/// One query row's softmax numerators inside a score block — key `t`'s
+/// heads sit at `exps[t·stride + offset..][..heads]` — and its per-head
+/// denominators.
+struct QueryProbs<'a> {
+    exps: &'a [f32],
+    sums: &'a [f32],
+    stride: usize,
+    offset: usize,
+    heads: usize,
+}
+
+impl QueryProbs<'_> {
+    /// The head-averaged probability of key `t` ([`kernels::head_mean`]:
+    /// divide, heads summed in order, then scaled by `inv = 1/heads`).
+    fn mean(&self, t: usize, inv: f32) -> f32 {
+        let at = t * self.stride + self.offset;
+        kernels::head_mean(&self.exps[at..at + self.heads], self.sums, inv)
     }
 }
 

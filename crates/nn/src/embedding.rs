@@ -15,6 +15,7 @@
 //! All vectors are L2-normalized on read.
 
 use crate::kernels;
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -60,8 +61,17 @@ impl EmbeddingTable {
     /// [`MultiHeadAttention::embed_sequence`]: crate::attention::MultiHeadAttention::embed_sequence
     pub fn embed_into(&self, word: &str, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim, "embed_into buffer of wrong dim");
-        let lower = word.to_lowercase();
-        match self.refined.get(&lower) {
+        // Already-lowercase ASCII (the hot path's pre-lowered tokens) is
+        // its own `to_lowercase`; borrow it instead of copying.
+        let lower: Cow<'_, str> = if word
+            .bytes()
+            .any(|b| !b.is_ascii() || b.is_ascii_uppercase())
+        {
+            Cow::Owned(word.to_lowercase())
+        } else {
+            Cow::Borrowed(word)
+        };
+        match self.refined.get(lower.as_ref()) {
             Some(r) => out.copy_from_slice(r),
             None => {
                 out.fill(0.0);
@@ -185,8 +195,16 @@ impl EmbeddingTable {
 
     /// Accumulate the hash embedding of a lowercased word into a zeroed
     /// buffer.
+    ///
+    /// The n-grams are `&str` slices between char boundaries — `str`
+    /// and `String` hash the same bytes, so no gram is ever copied.
     fn hash_embed_into(&self, lower: &str, v: &mut [f32]) {
-        let chars: Vec<char> = lower.chars().collect();
+        let bounds = || {
+            lower
+                .char_indices()
+                .map(|(i, _)| i)
+                .chain(std::iter::once(lower.len()))
+        };
         let push = |s: &str, weight: f32, v: &mut [f32]| {
             let mut h = DefaultHasher::new();
             self.seed.hash(&mut h);
@@ -204,12 +222,8 @@ impl EmbeddingTable {
         };
         push(lower, 2.0, v);
         for n in 3..=5usize {
-            if chars.len() < n {
-                break;
-            }
-            for start in 0..=(chars.len() - n) {
-                let gram: String = chars[start..start + n].iter().collect();
-                push(&gram, 1.0, v);
+            for (lo, hi) in bounds().zip(bounds().skip(n)) {
+                push(&lower[lo..hi], 1.0, v);
             }
         }
     }
@@ -328,6 +342,73 @@ mod tests {
         t.fit(&[vec!["x".into()]], 1, 1, 0.1);
         let v = t.embed("neverseen");
         assert_eq!(v.len(), 32);
+    }
+
+    /// The hash embedding as first written: a `Vec<char>` and one
+    /// `String` per n-gram, and `to_lowercase` on every word.
+    fn hash_embed_by_strings(t: &EmbeddingTable, word: &str) -> Vec<f32> {
+        let lower = word.to_lowercase();
+        let mut v = vec![0.0f32; t.dim];
+        let chars: Vec<char> = lower.chars().collect();
+        let mut push = |s: &str, weight: f32| {
+            let mut h = DefaultHasher::new();
+            t.seed.hash(&mut h);
+            s.hash(&mut h);
+            let x = h.finish();
+            let idx = (x % t.dim as u64) as usize;
+            let sign = if (x >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+            v[idx] += sign * weight;
+            let idx2 = ((x >> 17) % t.dim as u64) as usize;
+            let sign2 = if (x >> 33) & 1 == 0 { 1.0 } else { -1.0 };
+            v[idx2] += sign2 * weight * 0.5;
+        };
+        push(&lower, 2.0);
+        for n in 3..=5usize {
+            if chars.len() < n {
+                break;
+            }
+            for start in 0..=(chars.len() - n) {
+                let gram: String = chars[start..start + n].iter().collect();
+                push(&gram, 1.0);
+            }
+        }
+        normalize(&mut v);
+        v
+    }
+
+    #[test]
+    fn oov_embed_is_bitwise_the_string_built_hash_embedding() {
+        let t = EmbeddingTable::new(64, 42);
+        for w in [
+            "",
+            "a",
+            "ab",
+            "abc",
+            "abcd",
+            "abcde",
+            "abcdef",
+            "Broncos",
+            "SUPER",
+            "1066",
+            "beyonc\u{e9}",
+            "na\u{ef}ve",
+            "\u{c9}cole",
+            "\u{3a3}\u{3a3}",
+            "stra\u{df}e",
+            "\u{65e5}\u{672c}",
+            "\u{65e5}\u{672c}\u{8a9e}\u{8a71}",
+            "\u{1f600}x\u{1f600}",
+            "\u{130}stanbul",
+            "o'neil",
+            "x-ray",
+        ] {
+            let want: Vec<u32> = hash_embed_by_strings(&t, w)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let got: Vec<u32> = t.embed(w).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{w:?}");
+        }
     }
 
     #[test]

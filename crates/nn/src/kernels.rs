@@ -29,10 +29,29 @@
 //! quads, and one add joins the 128-bit halves — the same three levels
 //! of the same tree, so no lane is spilled to memory to be summed.
 //!
+//! The attention scores run on a second form of the same tree,
+//! [`gemm_panels`]. There a *lane register* holds one lane of sixteen
+//! neighbouring outputs (eight per `ymm` half on AVX2) rather than
+//! eight lanes of one output. Lane `l` of output `(r, c)` accumulates
+//! `fma(a[r][8q+l], B[8q+l][c], lane)` from `+0.0`, and the tree becomes
+//! seven vertical adds across the eight lane registers. This is the
+//! broadcast form of the GotoBLAS micro-kernel (Goto & van de Geijn,
+//! ACM TOMS 2008), with the lane tree kept as part of the kernel. The
+//! right operand is packed as contiguous 16-column *panels*
+//! ([`pack_panels`]), so consecutive `k` are 64 bytes apart. The
+//! micro-kernels form a ladder, picked at runtime by [`Kernel::detect`]:
+//!
+//! * AVX-512F: 3 rows × 16 columns, 24 `zmm` accumulators;
+//! * AVX2+FMA: the same tile in four sweeps of two lanes each;
+//! * portable: `f32::mul_add` loops.
+//!
+//! All three give the same bits. The head-vectorized softmax
+//! ([`softmax_heads`]) follows the same ladder.
+//!
 //! The transcendental in the softmax chain is pinned the same way:
 //! [`exp_det`] is a polynomial `exp` built from pure f32 arithmetic, so
 //! the hot path has no libm dependency whose bits could vary across
-//! platforms.
+//! platforms; its 8- and 16-wide mirrors repeat it op for op.
 
 /// Lane count of the fixed reduction tree (and the register tile width).
 pub const LANES: usize = 8;
@@ -402,6 +421,346 @@ unsafe fn dot_rows_fma(a: &[f32], rows: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Column width of a packed right-hand panel: one 512-bit register of
+/// f32 lanes (two 256-bit halves on AVX2).
+pub const PANEL: usize = 16;
+
+/// The micro-kernel families behind [`gemm_panels`] and
+/// [`softmax_heads`], fastest first. Every family computes the same
+/// bits — the lane assignment, the fixed tree, and the softmax order are
+/// part of each kernel — so the choice only moves time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// AVX-512F: 3 rows × 16 columns per tile, 24 `zmm` lane accumulators.
+    Avx512,
+    /// AVX2+FMA: 3 rows × 16 columns per tile, two lanes per sweep of
+    /// `k` (12 `ymm` accumulators).
+    Avx2,
+    /// `f32::mul_add` loops in the same lane order: every machine, Miri
+    /// included.
+    Portable,
+}
+
+impl Kernel {
+    /// Every family, fastest first.
+    pub const ALL: [Kernel; 3] = [Kernel::Avx512, Kernel::Avx2, Kernel::Portable];
+
+    /// True when this host can run the family (runtime detection, cached
+    /// by std).
+    pub fn is_available(self) -> bool {
+        match self {
+            Kernel::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => have_simd(),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The fastest family this host runs: AVX-512 → AVX2 → portable.
+    pub fn detect() -> Kernel {
+        Kernel::ALL
+            .into_iter()
+            .find(|k| k.is_available())
+            .unwrap_or(Kernel::Portable)
+    }
+}
+
+/// Pack the `k × n` matrix `b(row, col)` as `⌈n/16⌉` contiguous
+/// [`PANEL`]-column panels, each `k × 16` row-major; columns past `n`
+/// are zero. This is the right-hand layout [`gemm_panels`] streams: a
+/// panel row is one vector load, and consecutive `k` sit 64
+/// bytes apart instead of a full matrix row apart (a row-major operand
+/// with 1024 columns puts them 4 KB apart, which aliases in L1).
+pub fn pack_panels(k: usize, n: usize, b: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut out = vec![0.0f32; n.div_ceil(PANEL) * k * PANEL];
+    for (p, panel) in out.chunks_exact_mut((k * PANEL).max(1)).enumerate() {
+        for (kk, row) in panel.chunks_exact_mut(PANEL).enumerate() {
+            for (cc, v) in row.iter_mut().enumerate() {
+                let c = p * PANEL + cc;
+                if c < n {
+                    *v = b(kk, c);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `out = A · B` for row-major `A` (`m × k`) and `B` packed by
+/// [`pack_panels`] (`k × n`); `out` is row-major `m × n`. `kernel`
+/// picks the micro-kernel family ([`Kernel::detect`] for the fastest);
+/// panics if the host lacks it.
+///
+/// Every output is the canonical 8-lane reduction of [`dot`]: lane `l`
+/// of output `(r, c)` accumulates `fma(a[r][8q+l], B[8q+l][c], lane)`
+/// from `+0.0`, and the fixed tree combines the lanes. The SIMD kernels
+/// keep each lane in its own register across 16 output columns (two
+/// `ymm` halves on AVX2) — the *broadcast* form of the GotoBLAS
+/// micro-kernel — so the tree runs as seven vertical adds and no lane
+/// ever moves horizontally.
+pub fn gemm_panels(
+    kernel: Kernel,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    panels: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), m * k, "gemm_panels: A is not {m}x{k}");
+    assert!(
+        panels.len() >= n.div_ceil(PANEL) * k * PANEL,
+        "gemm_panels: too few panels for {k}x{n}"
+    );
+    assert_eq!(out.len(), m * n, "gemm_panels: out is not {m}x{n}");
+    assert!(kernel.is_available(), "gemm_panels: {kernel:?} unavailable");
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    match kernel {
+        // SAFETY: availability asserted above; shapes asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => unsafe { gemm_avx512(a, m, k, panels, n, out) },
+        // SAFETY: availability asserted above; shapes asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => unsafe { gemm_avx2(a, m, k, panels, n, out) },
+        _ => gemm_portable(a, m, k, panels, n, out),
+    }
+}
+
+/// Portable [`gemm_panels`]: per row, sixteen columns of eight lane
+/// accumulators, `f32::mul_add` in the kernels' lane order.
+fn gemm_portable(a: &[f32], m: usize, k: usize, panels: &[f32], n: usize, out: &mut [f32]) {
+    for (p, panel) in panels
+        .chunks_exact(k * PANEL)
+        .take(n.div_ceil(PANEL))
+        .enumerate()
+    {
+        let c0 = p * PANEL;
+        let w = (n - c0).min(PANEL);
+        for r in 0..m {
+            let mut lanes = [[0.0f32; PANEL]; LANES];
+            for (kk, (&x, row)) in a[r * k..(r + 1) * k]
+                .iter()
+                .zip(panel.chunks_exact(PANEL))
+                .enumerate()
+            {
+                for (acc, &y) in lanes[kk % LANES].iter_mut().zip(row) {
+                    *acc = x.mul_add(y, *acc);
+                }
+            }
+            for (c, o) in out[r * n + c0..r * n + c0 + w].iter_mut().enumerate() {
+                *o = reduce_lanes(&std::array::from_fn(|l| lanes[l][c]));
+            }
+        }
+    }
+}
+
+/// AVX-512 [`gemm_panels`]: 3-row tiles (2- and 1-row tails) against one
+/// panel at a time; the panel (`k × 64` bytes) stays in L1 across the
+/// rows of `A`.
+///
+/// # Safety
+///
+/// The caller must have verified avx512f support and the shapes of
+/// [`gemm_panels`]; `k > 0`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512(a: &[f32], m: usize, k: usize, panels: &[f32], n: usize, out: &mut [f32]) {
+    for p in 0..n.div_ceil(PANEL) {
+        let c0 = p * PANEL;
+        let mask = ((1u32 << (n - c0).min(PANEL)) - 1) as u16;
+        // SAFETY: panel `p` spans `panels[p·k·16..(p+1)·k·16]`; rows
+        // `r..r+R` of `A` lie in `a` (`r + R <= m`); each tile stores the
+        // `mask`-selected columns `c0..min(c0+16, n)` of output rows
+        // `r..r+R`, inside `out` (`m × n`).
+        unsafe {
+            let panel = panels.as_ptr().add(p * k * PANEL);
+            let dst = out.as_mut_ptr().add(c0);
+            let mut r = 0;
+            while r + 3 <= m {
+                tile_avx512::<3>(a.as_ptr().add(r * k), k, panel, dst.add(r * n), n, mask);
+                r += 3;
+            }
+            match m - r {
+                2 => tile_avx512::<2>(a.as_ptr().add(r * k), k, panel, dst.add(r * n), n, mask),
+                1 => tile_avx512::<1>(a.as_ptr().add(r * k), k, panel, dst.add(r * n), n, mask),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// One `R × 16` AVX-512 tile: `acc[r][l]` holds lane `l` of row `r`'s
+/// sixteen outputs; each step loads one panel row and feeds it to `R`
+/// broadcast fmas. A `k` tail touches lanes `0..k%8` only.
+///
+/// # Safety
+///
+/// avx512f must be available; `a` must be readable for `R` rows of `k`,
+/// `panel` for `k × 16` floats, and `out` writable at the `mask` columns
+/// of `R` rows of stride `ldo`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn tile_avx512<const R: usize>(
+    a: *const f32,
+    k: usize,
+    panel: *const f32,
+    out: *mut f32,
+    ldo: usize,
+    mask: u16,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); LANES]; R];
+    let whole = k - k % LANES;
+    // SAFETY: every index stays below `k` (rows of `a`, panel rows) or
+    // addresses the `mask` columns of the `R` output rows — the caller's
+    // contract.
+    unsafe {
+        let mut q = 0;
+        while q < whole {
+            for l in 0..LANES {
+                let b = _mm512_loadu_ps(panel.add((q + l) * PANEL));
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let x = _mm512_set1_ps(*a.add(r * k + q + l));
+                    row[l] = _mm512_fmadd_ps(x, b, row[l]);
+                }
+            }
+            q += LANES;
+        }
+        for l in 0..k - whole {
+            let b = _mm512_loadu_ps(panel.add((whole + l) * PANEL));
+            for (r, row) in acc.iter_mut().enumerate() {
+                let x = _mm512_set1_ps(*a.add(r * k + whole + l));
+                row[l] = _mm512_fmadd_ps(x, b, row[l]);
+            }
+        }
+        for (r, v) in acc.iter().enumerate() {
+            let t = _mm512_add_ps(
+                _mm512_add_ps(_mm512_add_ps(v[0], v[1]), _mm512_add_ps(v[2], v[3])),
+                _mm512_add_ps(_mm512_add_ps(v[4], v[5]), _mm512_add_ps(v[6], v[7])),
+            );
+            _mm512_mask_storeu_ps(out.add(r * ldo), mask, t);
+        }
+    }
+}
+
+/// AVX2 [`gemm_panels`]: 3-row tiles (2- and 1-row tails) of a whole
+/// 16-column panel, as [`gemm_avx512`] — but 3 rows × 16 columns × 8
+/// lanes would need 48 `ymm` accumulators, so each tile sweeps `k` four
+/// times, two lanes per sweep ([`tile_avx2`]).
+///
+/// # Safety
+///
+/// The caller must have verified avx2+fma support and the shapes of
+/// [`gemm_panels`]; `k > 0`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gemm_avx2(a: &[f32], m: usize, k: usize, panels: &[f32], n: usize, out: &mut [f32]) {
+    let mut tile = [0.0f32; 3 * PANEL];
+    for p in 0..n.div_ceil(PANEL) {
+        let c0 = p * PANEL;
+        let w = (n - c0).min(PANEL);
+        let mut r = 0;
+        while r < m {
+            let rows = (m - r).min(3);
+            // SAFETY: panel `p` spans `panels[p·k·16..(p+1)·k·16]` and
+            // rows `r..r+rows` of `A` lie in `a`; the tile writes the
+            // local `tile` buffer only.
+            unsafe {
+                let panel = panels.as_ptr().add(p * k * PANEL);
+                let ar = a.as_ptr().add(r * k);
+                match rows {
+                    3 => tile_avx2::<3>(ar, k, panel, &mut tile),
+                    2 => tile_avx2::<2>(ar, k, panel, &mut tile),
+                    _ => tile_avx2::<1>(ar, k, panel, &mut tile),
+                }
+            }
+            for (i, t) in tile.chunks_exact(PANEL).take(rows).enumerate() {
+                let o = (r + i) * n + c0;
+                out[o..o + w].copy_from_slice(&t[..w]);
+            }
+            r += rows;
+        }
+    }
+}
+
+/// One `R × 16` AVX2 tile into `tile` (row `r` at `16·r`). Sweep `s`
+/// accumulates lanes `2s` and `2s+1` (`R × 2` halves × 2 lanes = 12
+/// `ymm` at `R = 3`) and adds them, `l₂ₛ + l₂ₛ₊₁`; the sweeps then join
+/// as `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — the fixed tree, op for
+/// op, with each lane still a separate sequential fma chain.
+///
+/// # Safety
+///
+/// avx2+fma must be available; `a` must be readable for `R` rows of `k`
+/// and `panel` for `k × 16` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn tile_avx2<const R: usize>(
+    a: *const f32,
+    k: usize,
+    panel: *const f32,
+    tile: &mut [f32; 3 * PANEL],
+) {
+    use std::arch::x86_64::*;
+    let whole = k - k % LANES;
+    let mut lo = [[_mm256_setzero_ps(); 2]; R];
+    let mut hi = [[_mm256_setzero_ps(); 2]; R];
+    for sweep in 0..LANES / 2 {
+        let mut acc = [[[_mm256_setzero_ps(); 2]; 2]; R];
+        // SAFETY: every `kk` below is `< k`, so the row-`r` reads of `a`
+        // and the 16 floats at panel row `kk` are in bounds.
+        unsafe {
+            let mut step = |kk: usize, li: usize| {
+                let b0 = _mm256_loadu_ps(panel.add(kk * PANEL));
+                let b1 = _mm256_loadu_ps(panel.add(kk * PANEL + LANES));
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let x = _mm256_set1_ps(*a.add(r * k + kk));
+                    row[li][0] = _mm256_fmadd_ps(x, b0, row[li][0]);
+                    row[li][1] = _mm256_fmadd_ps(x, b1, row[li][1]);
+                }
+            };
+            let mut q = 0;
+            while q < whole {
+                step(q + 2 * sweep, 0);
+                step(q + 2 * sweep + 1, 1);
+                q += LANES;
+            }
+            for li in 0..2 {
+                if 2 * sweep + li < k - whole {
+                    step(whole + 2 * sweep + li, li);
+                }
+            }
+        }
+        for r in 0..R {
+            for h in 0..2 {
+                let pair = _mm256_add_ps(acc[r][0][h], acc[r][1][h]);
+                match sweep {
+                    0 => lo[r][h] = pair,
+                    1 => lo[r][h] = _mm256_add_ps(lo[r][h], pair),
+                    2 => hi[r][h] = pair,
+                    _ => hi[r][h] = _mm256_add_ps(hi[r][h], pair),
+                }
+            }
+        }
+    }
+    for r in 0..R {
+        for h in 0..2 {
+            let v = _mm256_add_ps(lo[r][h], hi[r][h]);
+            // SAFETY: `r < R <= 3` and `h < 2`: eight floats at
+            // `16·r + 8·h`, inside the 48-float tile.
+            unsafe { _mm256_storeu_ps(tile.as_mut_ptr().add(r * PANEL + h * LANES), v) };
+        }
+    }
+}
+
 /// Arguments above this return `+∞` (true `exp` stays finite up to
 /// ~88.72, but softmax arguments are always ≤ 0, so the corner is moot).
 pub const EXP_HI: f32 = 88.0;
@@ -505,6 +864,48 @@ unsafe fn exp8(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
     _mm256_blendv_ps(out, x, nan_mask)
 }
 
+/// 16-wide [`exp_det`]: [`exp8`] op for op on `zmm` registers, with
+/// the clamp and NaN lanes selected by mask registers instead of
+/// blends — each lane's bits equal `exp_det` of that lane.
+///
+/// # Safety
+///
+/// The caller must have verified avx512f support. Pure value
+/// computation otherwise — no memory is touched.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn exp16(x: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    let nan_mask = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x);
+    let hi_mask = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_set1_ps(EXP_HI));
+    let lo_mask = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(x, _mm512_set1_ps(EXP_LO));
+    let magic = _mm512_set1_ps(ROUND_MAGIC);
+    let v = _mm512_mul_ps(x, _mm512_set1_ps(LOG2E));
+    let kf = _mm512_sub_ps(_mm512_add_ps(v, magic), magic);
+    let r = _mm512_sub_ps(
+        _mm512_sub_ps(x, _mm512_mul_ps(kf, _mm512_set1_ps(LN2_HI))),
+        _mm512_mul_ps(kf, _mm512_set1_ps(LN2_LO)),
+    );
+    let mut p = _mm512_set1_ps(EXP_C[0]);
+    for &c in &EXP_C[1..] {
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(c));
+    }
+    let y = _mm512_add_ps(
+        _mm512_add_ps(_mm512_mul_ps(r, _mm512_mul_ps(r, p)), r),
+        _mm512_set1_ps(1.0),
+    );
+    let ki = _mm512_cvttps_epi32(kf);
+    let scale = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
+        ki,
+        _mm512_set1_epi32(127),
+    )));
+    let mut out = _mm512_mul_ps(y, scale);
+    out = _mm512_mask_mov_ps(out, lo_mask, _mm512_setzero_ps());
+    out = _mm512_mask_mov_ps(out, hi_mask, _mm512_set1_ps(f32::INFINITY));
+    _mm512_mask_mov_ps(out, nan_mask, x)
+}
+
 /// Numerically-stable softmax of one row, in place, in canonical order:
 /// sequential max, sequential `exp_det` + sum, sequential normalization.
 ///
@@ -580,6 +981,171 @@ unsafe fn softmax_tail_avx2(row: &mut [f32], max: f32) {
             *v /= sum;
         }
     }
+}
+
+/// The canonical softmax down sixteen columns at once, up to its
+/// divide: column `c` of the `rows × 16` block at `s[t·stride + c]` is
+/// scaled by `scale`, its running max taken (`max(max, v)`, which skips
+/// NaN), and each entry replaced by `exp_det(v - max)` while a
+/// sequential sum accumulates — the order of [`softmax`]. Returns the
+/// sixteen sums; [`head_mean`] applies the last step (divide where the
+/// sum is `> 0`) to just the entries a caller reads. In attention the
+/// sixteen columns are sixteen heads of one query, so one register
+/// carries every head through the chain.
+///
+/// `kernel` picks the family ([`Kernel::detect`] for the fastest);
+/// panics if the host lacks it. Requires
+/// `s.len() >= (rows - 1)·stride + 16` when `rows > 0`.
+pub fn softmax_heads(
+    kernel: Kernel,
+    s: &mut [f32],
+    rows: usize,
+    stride: usize,
+    scale: f32,
+) -> [f32; PANEL] {
+    let mut sums = [0.0f32; PANEL];
+    if rows == 0 {
+        return sums;
+    }
+    assert!(
+        stride >= PANEL && s.len() >= (rows - 1) * stride + PANEL,
+        "softmax_heads: {rows} rows of stride {stride} overrun {}",
+        s.len()
+    );
+    assert!(
+        kernel.is_available(),
+        "softmax_heads: {kernel:?} unavailable"
+    );
+    match kernel {
+        // SAFETY: availability and extent asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => unsafe { softmax_heads_avx512(s, rows, stride, scale, &mut sums) },
+        // SAFETY: availability and extent asserted above; each call
+        // covers one 8-column half.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => unsafe {
+            let (lo, hi) = sums.split_at_mut(LANES);
+            softmax_heads_avx2(s, rows, stride, scale, lo);
+            softmax_heads_avx2(&mut s[LANES..], rows, stride, scale, hi);
+        },
+        _ => {
+            for (c, sum) in sums.iter_mut().enumerate() {
+                let mut max = f32::NEG_INFINITY;
+                for t in 0..rows {
+                    let v = &mut s[t * stride + c];
+                    *v *= scale;
+                    max = max.max(*v);
+                }
+                for t in 0..rows {
+                    let v = &mut s[t * stride + c];
+                    *v = exp_det(*v - max);
+                    *sum += *v;
+                }
+            }
+        }
+    }
+    sums
+}
+
+/// AVX-512 [`softmax_heads`]: `vmaxps(v, max)` returns `max` when `v`
+/// is NaN, exactly as `f32::max(max, v)` does; [`exp16`] is [`exp8`]
+/// op for op; the sum is one vertical add per row, i.e. sequential per
+/// column.
+///
+/// # Safety
+///
+/// avx512f must be available and `s` must hold `rows` rows of 16 floats
+/// at stride `stride`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn softmax_heads_avx512(
+    s: &mut [f32],
+    rows: usize,
+    stride: usize,
+    scale: f32,
+    sums: &mut [f32; PANEL],
+) {
+    use std::arch::x86_64::*;
+    let p = s.as_mut_ptr();
+    let sc = _mm512_set1_ps(scale);
+    let mut max = _mm512_set1_ps(f32::NEG_INFINITY);
+    // SAFETY: every access is the 16 floats at `t·stride`, `t < rows`,
+    // inside `s` by the caller's contract; `sums` holds 16 floats.
+    unsafe {
+        for t in 0..rows {
+            let v = _mm512_mul_ps(_mm512_loadu_ps(p.add(t * stride)), sc);
+            _mm512_storeu_ps(p.add(t * stride), v);
+            max = _mm512_max_ps(v, max);
+        }
+        let mut sum = _mm512_setzero_ps();
+        for t in 0..rows {
+            let e = exp16(_mm512_sub_ps(_mm512_loadu_ps(p.add(t * stride)), max));
+            _mm512_storeu_ps(p.add(t * stride), e);
+            sum = _mm512_add_ps(sum, e);
+        }
+        _mm512_storeu_ps(sums.as_mut_ptr(), sum);
+    }
+}
+
+/// AVX2 [`softmax_heads`] over eight columns (called once per half):
+/// the chain of [`softmax_heads_avx512`] on [`exp8`].
+///
+/// # Safety
+///
+/// avx2+fma must be available, `s` must hold `rows` rows of 8 floats at
+/// stride `stride`, and `sums` must hold 8 floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn softmax_heads_avx2(
+    s: &mut [f32],
+    rows: usize,
+    stride: usize,
+    scale: f32,
+    sums: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let p = s.as_mut_ptr();
+    let sc = _mm256_set1_ps(scale);
+    let mut max = _mm256_set1_ps(f32::NEG_INFINITY);
+    // SAFETY: every access is the 8 floats at `t·stride`, `t < rows`,
+    // inside `s` by the caller's contract, or the 8 floats of `sums`;
+    // exp8's features hold here.
+    unsafe {
+        for t in 0..rows {
+            let v = _mm256_mul_ps(_mm256_loadu_ps(p.add(t * stride)), sc);
+            _mm256_storeu_ps(p.add(t * stride), v);
+            max = _mm256_max_ps(v, max);
+        }
+        let mut sum = _mm256_setzero_ps();
+        for t in 0..rows {
+            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(p.add(t * stride)), max));
+            _mm256_storeu_ps(p.add(t * stride), e);
+            sum = _mm256_add_ps(sum, e);
+        }
+        _mm256_storeu_ps(sums.as_mut_ptr(), sum);
+    }
+}
+
+/// One head-averaged attention probability from [`softmax_heads`]
+/// output: head `h`'s probability is `exps[h] / sums[h]` where
+/// `sums[h] > 0` (else the raw `exps[h]`, the softmax edge rule), and
+/// the heads are added in order `h = 0..exps.len()` onto `+0.0`, then
+/// scaled by `inv = 1/heads` — the head average of the attention
+/// oracle, op for op.
+#[inline]
+pub fn head_mean(exps: &[f32], sums: &[f32], inv: f32) -> f32 {
+    let mut acc = 0.0f32;
+    for (e, s) in exps.chunks(PANEL).zip(sums.chunks(PANEL)) {
+        // The quotients are independent (vectorizable); the sum is not.
+        let mut q = [0.0f32; PANEL];
+        for ((q, &e), &s) in q.iter_mut().zip(e).zip(s) {
+            *q = if s > 0.0 { e / s } else { e };
+        }
+        for &v in &q[..e.len()] {
+            acc += v;
+        }
+    }
+    acc * inv
 }
 
 /// Sequential f64 fold `acc + Σ xᵢ·wᵢ` — the span-score dot product of
@@ -660,6 +1226,70 @@ mod tests {
             dot_rows(&a, &rows, &mut out);
             assert!(out.iter().all(|v| v.to_bits() == want), "dot_rows K={k}");
         }
+    }
+
+    #[test]
+    fn gemm_panels_portable_is_the_lane_definition() {
+        // Shapes cross the 3-row tile, the 16-column panel and the
+        // 8-lane grid; this is the path Miri interprets.
+        for (m, k, n) in [(1, 1, 1), (2, 7, 9), (4, 8, 16), (5, 11, 20)] {
+            let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
+            let b = |r: usize, c: usize| ((r * 31 + c * 7) as f32 * 0.11).cos();
+            let panels = pack_panels(k, n, b);
+            let mut out = vec![f32::NAN; m * n];
+            gemm_panels(Kernel::Portable, &a, m, k, &panels, n, &mut out);
+            for r in 0..m {
+                for c in 0..n {
+                    let col: Vec<f32> = (0..k).map(|kk| b(kk, c)).collect();
+                    let want = dot(&a[r * k..(r + 1) * k], &col);
+                    assert_eq!(out[r * n + c].to_bits(), want.to_bits(), "({r}, {c})");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn exp16_avx512_matches_exp_det_over_the_whole_range() {
+        if !Kernel::Avx512.is_available() {
+            return;
+        }
+        let mut xs: Vec<f32> = (0..40_000).map(|i| -100.0 + i as f32 * 0.005).collect();
+        xs.extend([
+            EXP_HI,
+            EXP_LO,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -0.0,
+        ]);
+        for chunk in xs.chunks(PANEL) {
+            let mut buf = [0.0f32; PANEL];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            let mut got = [0.0f32; PANEL];
+            // SAFETY: avx512f checked above; 16-float loads/stores of
+            // local arrays.
+            unsafe { exp16_into(&buf, &mut got) };
+            for (x, g) in buf.iter().zip(&got) {
+                let want = exp_det(*x);
+                assert!(
+                    g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan()),
+                    "exp16({x}) = {g}, exp_det = {want}"
+                );
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// avx512f must be available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn exp16_into(x: &[f32; PANEL], out: &mut [f32; PANEL]) {
+        use std::arch::x86_64::*;
+        // SAFETY: both arrays hold exactly 16 floats; exp16's features
+        // hold in this fn.
+        unsafe { _mm512_storeu_ps(out.as_mut_ptr(), exp16(_mm512_loadu_ps(x.as_ptr()))) };
     }
 
     #[test]

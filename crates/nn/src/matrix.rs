@@ -146,6 +146,12 @@ impl Matrix {
         out
     }
 
+    /// Copy row `src` over row `dst` in place.
+    pub fn copy_row(&mut self, src: usize, dst: usize) {
+        let c = self.cols;
+        self.data.copy_within(src * c..(src + 1) * c, dst * c);
+    }
+
     /// The backing row-major storage as one contiguous slice
     /// (`rows × cols` elements, row `r` at `r·cols..(r+1)·cols`).
     pub fn as_slice(&self) -> &[f32] {

@@ -5,6 +5,7 @@
 //! the contract that lets the repo's bit-identity pins (served ==
 //! offline, N-shard == 1-shard) survive kernel rewrites.
 
+use gced_nn::kernels::{self, Kernel};
 use gced_nn::{reference, AttentionConfig, EmbeddingTable, Matrix, MultiHeadAttention};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -269,4 +270,281 @@ fn embed_into_matches_embed() {
         table.embed_into(w, &mut buf);
         assert_eq!(via_vec, buf, "{w}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Panel GEMM, head-vectorized softmax, and the entries the tree reads —
+// on every kernel family the host runs, each called explicitly.
+// ---------------------------------------------------------------------------
+
+/// The families this host can run (the portable loop always).
+fn kernels_here() -> Vec<Kernel> {
+    Kernel::ALL
+        .into_iter()
+        .filter(|k| k.is_available())
+        .collect()
+}
+
+/// `A·B` through `gemm_panels(kernel)` with `B` packed from `b`.
+fn gemm_via_panels(kernel: Kernel, a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let panels = kernels::pack_panels(k, n, |r, c| b.get(r, c));
+    let mut out = vec![f32::NAN; m * n];
+    kernels::gemm_panels(kernel, a.as_slice(), m, k, &panels, n, &mut out);
+    Matrix::from_fn(m, n, |r, c| out[r * n + c])
+}
+
+fn gemm_family_matches_reference(kernel: Kernel) {
+    if !kernel.is_available() {
+        return;
+    }
+    // Rows cross the 3-row tile, columns the 16-column panel and its
+    // 8-column halves, and K the 8-lane grid (including K < 8).
+    for (m, k, n) in [
+        (0, 5, 7),
+        (4, 0, 9),
+        (1, 1, 1),
+        (2, 7, 15),
+        (3, 8, 16),
+        (4, 9, 17),
+        (5, 64, 33),
+        (7, 13, 40),
+        (8, 70, 48),
+        (13, 64, 1024),
+    ] {
+        let a = rand_matrix(m, k, (m * 100 + k) as u64);
+        let b = rand_matrix(k, n, (k * 100 + n) as u64);
+        assert_bitwise(
+            &gemm_via_panels(kernel, &a, &b),
+            &reference::matmul(&a, &b),
+            &format!("gemm_panels {kernel:?} {m}x{k}x{n}"),
+        );
+    }
+    // NaN and ±∞ flow through the lanes exactly as through the oracle.
+    let mut a = rand_matrix(5, 19, 31);
+    a.set(1, 4, f32::NAN);
+    a.set(3, 0, f32::INFINITY);
+    a.set(4, 18, f32::NEG_INFINITY);
+    let b = rand_matrix(19, 21, 32);
+    assert_bitwise(
+        &gemm_via_panels(kernel, &a, &b),
+        &reference::matmul(&a, &b),
+        &format!("gemm_panels {kernel:?} NaN/∞"),
+    );
+    // Every product underflows to -0.0: a K tail must leave the lanes
+    // past it at +0.0, as the oracle's untouched lanes are.
+    for k in [3, 9, 13, 15] {
+        let a = Matrix::from_fn(4, k, |_, _| -1e-30);
+        let b = Matrix::from_fn(k, 18, |_, _| 1e-30);
+        assert_bitwise(
+            &gemm_via_panels(kernel, &a, &b),
+            &reference::matmul(&a, &b),
+            &format!("gemm_panels {kernel:?} signed zeros K={k}"),
+        );
+    }
+}
+
+#[test]
+fn gemm_panels_avx512_matches_reference() {
+    gemm_family_matches_reference(Kernel::Avx512);
+}
+
+#[test]
+fn gemm_panels_avx2_matches_reference() {
+    gemm_family_matches_reference(Kernel::Avx2);
+}
+
+#[test]
+fn gemm_panels_portable_matches_reference() {
+    gemm_family_matches_reference(Kernel::Portable);
+}
+
+/// The softmax numerators of `[0, x]` down one column are `exp_det(0)`
+/// and `exp_det(x)` exactly (max 0, scale 1): a direct read of the
+/// packed exp on every lane.
+fn exp_sweep_matches_exp_det(kernel: Kernel) {
+    if !kernel.is_available() {
+        return;
+    }
+    let mut xs = Vec::new();
+    let mut x = -95.0f32;
+    while x <= 0.0 {
+        xs.push(x);
+        x += 0.003_17;
+    }
+    xs.extend([
+        0.0,
+        -0.0,
+        kernels::EXP_LO,
+        kernels::EXP_LO + f32::EPSILON * 64.0,
+        -87.336_54,
+        -f32::MIN_POSITIVE,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ]);
+    for chunk in xs.chunks(kernels::PANEL) {
+        let mut s = vec![0.0f32; 2 * kernels::PANEL];
+        s[kernels::PANEL..kernels::PANEL + chunk.len()].copy_from_slice(chunk);
+        kernels::softmax_heads(kernel, &mut s, 2, kernels::PANEL, 1.0);
+        for (c, &x) in chunk.iter().enumerate() {
+            let got = s[kernels::PANEL + c];
+            let want = kernels::exp_det(x);
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{kernel:?} exp({x}) = {got} vs exp_det {want}"
+            );
+        }
+    }
+}
+
+#[test]
+fn exp16_avx512_matches_exp_det_dense_sweep() {
+    exp_sweep_matches_exp_det(Kernel::Avx512);
+}
+
+#[test]
+fn exp8_avx2_heads_match_exp_det_dense_sweep() {
+    exp_sweep_matches_exp_det(Kernel::Avx2);
+}
+
+#[test]
+fn exp_portable_heads_match_exp_det_dense_sweep() {
+    exp_sweep_matches_exp_det(Kernel::Portable);
+}
+
+/// Each column of `softmax_heads` + `head_mean` ≡ the oracle's
+/// `softmax_rows` of that column, including NaN, ±∞ and all-−∞ columns.
+#[test]
+fn softmax_heads_columns_match_reference_rows() {
+    let rows = 11;
+    let mut base = rand_matrix(rows, kernels::PANEL, 51);
+    base.set(3, 1, f32::NAN);
+    base.set(0, 2, f32::INFINITY);
+    base.set(5, 3, f32::NEG_INFINITY);
+    for t in 0..rows {
+        base.set(t, 4, f32::NEG_INFINITY);
+    }
+    let scale = 0.125f32;
+    let mut want = Matrix::from_fn(kernels::PANEL, rows, |c, t| base.get(t, c) * scale);
+    reference::softmax_rows(&mut want);
+    for kernel in kernels_here() {
+        let mut s = base.as_slice().to_vec();
+        let sums = kernels::softmax_heads(kernel, &mut s, rows, kernels::PANEL, scale);
+        for c in 0..kernels::PANEL {
+            for t in 0..rows {
+                // head_mean of a single head with weight 1: the divided
+                // probability itself (`x · 1/1`).
+                let e = &s[t * kernels::PANEL + c..t * kernels::PANEL + c + 1];
+                let got = kernels::head_mean(e, &sums[c..c + 1], 1.0);
+                let w = want.get(c, t);
+                assert!(
+                    got.to_bits() == w.to_bits() || (got.is_nan() && w.is_nan()),
+                    "{kernel:?} column {c} row {t}: {got} vs {w}"
+                );
+            }
+        }
+    }
+}
+
+fn entries_match_reference(
+    n: usize,
+    d_model: usize,
+    heads: usize,
+    d_k: usize,
+    seed: u64,
+    x: &Matrix,
+) {
+    let mha = layer(d_model, heads, d_k, seed);
+    let want = reference::attention_matrix(&mha, x);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+    // Tree-shaped requests (both directions of a chain), then random
+    // pairs: duplicates and any order.
+    let mut pairs: Vec<(usize, usize)> = (1..n).flat_map(|i| [(i - 1, i), (i, i - 1)]).collect();
+    if n > 0 {
+        for _ in 0..2 * n {
+            let r = (rng.gen::<f32>() * n as f32) as usize % n;
+            let c = (rng.gen::<f32>() * n as f32) as usize % n;
+            pairs.push((r, c));
+        }
+        pairs.push(pairs[0]);
+    }
+    for kernel in kernels_here() {
+        let got = mha.attention_entries_on(kernel, x, &pairs);
+        assert_eq!(got.len(), pairs.len());
+        for (&(r, c), g) in pairs.iter().zip(&got) {
+            assert_eq!(
+                g.to_bits(),
+                want.get(r, c).to_bits(),
+                "{kernel:?} n={n} d={d_model} H={heads} entry ({r}, {c}): {g} vs {}",
+                want.get(r, c)
+            );
+        }
+        assert_bitwise(
+            &mha.attention_matrix_on(kernel, x),
+            &want,
+            &format!("attention_matrix {kernel:?} n={n} d={d_model} H={heads}"),
+        );
+    }
+    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(mha.attention_entries(x, &pairs)),
+        bits(mha.attention_entries_on(Kernel::detect(), x, &pairs))
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// `attention_entries` ≡ the oracle's matrix on the requested
+    /// entries, on every kernel family: n crosses the 3-row tile, the
+    /// 16-query block and the 16-column panel; d_model sits off the 8/16
+    /// grid; heads pad to one or two panels.
+    #[test]
+    fn attention_entries_match_reference(
+        n in 0usize..40,
+        d_model in 1usize..34,
+        head_pick in 0usize..4,
+        d_k in 1usize..10,
+        seed in 0u64..1_000_000,
+    ) {
+        let heads = [1, 2, 16, 17][head_pick];
+        let x = rand_matrix(n, d_model, seed ^ 0x1234);
+        entries_match_reference(n, d_model, heads, d_k, seed, &x);
+    }
+}
+
+#[test]
+fn attention_entries_on_tile_edges_and_paper_shape() {
+    for (n, d_model, heads) in [
+        (1, 64, 16),
+        (2, 9, 17),
+        (3, 16, 1),
+        (16, 64, 16),
+        (17, 17, 2),
+        (33, 64, 16),
+    ] {
+        let x = rand_matrix(n, d_model, (n * 7 + d_model) as u64);
+        entries_match_reference(n, d_model, heads, 64, 99, &x);
+    }
+}
+
+#[test]
+fn attention_entries_through_nan_and_inf() {
+    let mut x = rand_matrix(19, 20, 61);
+    x.set(2, 3, f32::NAN);
+    x.set(7, 0, f32::INFINITY);
+    x.set(11, 19, f32::NEG_INFINITY);
+    entries_match_reference(19, 20, 17, 8, 62, &x);
+    entries_match_reference(19, 20, 16, 8, 63, &x);
+}
+
+#[test]
+fn attention_entries_empty_request_and_bounds() {
+    let mha = layer(16, 2, 8, 3);
+    let x = rand_matrix(5, 16, 4);
+    assert!(mha.attention_entries(&x, &[]).is_empty());
+    let empty = rand_matrix(0, 16, 4);
+    assert!(mha.attention_entries(&empty, &[]).is_empty());
+    let out = std::panic::catch_unwind(|| mha.attention_entries(&x, &[(5, 0)]));
+    assert!(out.is_err(), "an entry outside the matrix must panic");
 }

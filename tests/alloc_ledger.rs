@@ -66,7 +66,7 @@ const EXAMPLES: usize = 200;
 
 /// Ceilings: the measured counts plus about 10 %.
 const MAX_ANALYZE_ALLOCS: f64 = 360.0;
-const MAX_DISTILL_ALLOCS: f64 = 1120.0;
+const MAX_DISTILL_ALLOCS: f64 = 1060.0;
 
 fn fixture() -> &'static (Gced, Vec<QaExample>) {
     static F: OnceLock<(Gced, Vec<QaExample>)> = OnceLock::new();
