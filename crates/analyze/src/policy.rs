@@ -76,16 +76,19 @@ pub fn is_test_path(path: &str) -> bool {
 /// format, the fit-cache artifact, eval JSON/tables, /metrics
 /// rendering, the response cache / evidence store (whose eviction scan
 /// order decides which stored bytes survive), the interchange
-/// (`to_parts`/`idf_parts`) layers that feed the artifact encoder, and
-/// the CKY chart and grammar tables (the order candidates are visited in
+/// (`to_parts`/`idf_parts`) layers that feed the artifact encoder, the
+/// CKY chart and grammar tables (the order candidates are visited in
 /// decides exact-score ties, which pick the parse tree and so reach the
-/// evidence bytes).
+/// evidence bytes), and the fitted id table (ids are assigned in sorted
+/// word order; hash-order ids would reach the lemma numbering of the QA
+/// span cache and every fitted-state pin).
 pub fn det001_in_scope(path: &str) -> bool {
     const SCOPE: &[&str] = &[
         "crates/serve/src/wire.rs",
         "crates/store/src/lib.rs",
         "crates/serve/src/metrics.rs",
         "crates/core/src/cache.rs",
+        "crates/core/src/ids.rs",
         "crates/datasets/src/json.rs",
         "crates/eval/src/shard.rs",
         "crates/eval/src/tables.rs",

@@ -68,6 +68,31 @@ const CORPUS: &[Case] = &[
                    }\n",
     },
     Case {
+        // Fourth DET001 site: the fitted id table. Ids numbered in hash
+        // order would differ from run to run, and every id-keyed table
+        // downstream with them, so words are sorted before numbering.
+        lint: "DET001",
+        path: "crates/core/src/ids.rs",
+        positive: "use std::collections::HashSet;\n\
+                   fn number(vocab: &HashSet<String>) -> Vec<(String, u32)> {\n\
+                       let mut out = Vec::new();\n\
+                       for w in vocab.iter() {\n\
+                           out.push((w.clone(), out.len() as u32));\n\
+                       }\n\
+                       out\n\
+                   }\n",
+        negative: "use std::collections::HashSet;\n\
+                   fn number(vocab: &HashSet<String>) -> Vec<(String, u32)> {\n\
+                       let mut words: Vec<&String> = vocab.iter().collect();\n\
+                       words.sort();\n\
+                       let mut out = Vec::new();\n\
+                       for w in words {\n\
+                           out.push((w.clone(), out.len() as u32));\n\
+                       }\n\
+                       out\n\
+                   }\n",
+    },
+    Case {
         // Third DET001 site: the CKY chart. Which of two exactly tied
         // candidates a cell keeps picks the parse tree, and the tree
         // reaches the evidence bytes, so cells are walked in slot order.

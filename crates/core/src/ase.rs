@@ -23,16 +23,18 @@
 //!   candidate span of a member sentence achieves against the answer
 //!   ([`sentence_f1_bounds`]), so once a round has a winner at F1 ≥ that
 //!   bound the QA prediction is provably pointless and skipped — the
-//!   grow-side mirror of the clip search's informativeness prune.
+//!   grow-side mirror of the clip search's informativeness prune;
+//! * **a trial's F1 is counted, not re-normalized** — the predicted
+//!   span's F1 comes from its tokens' answer-word slots
+//!   ([`crate::slots`]), so no trial builds prediction text.
 //!
 //! The search is **bit-identical** to the paper-literal formulation kept
 //! in [`reference`] (same sentences, exact flag, best F1, and step log);
 //! the cross-crate property suite pins that on randomized pipelines.
 
 use crate::scoring::{Bitset, SearchContext};
-use gced_metrics::overlap::{f1_from_counts, normalize_answer, token_f1};
-use gced_qa::model::MAX_SPAN;
-use gced_text::{join_tokens, Document, SentId};
+use crate::slots::{AnswerSlots, AnswerWords};
+use gced_text::{Document, SentId};
 
 /// Outcome of the ASE search.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,132 +63,20 @@ impl AseResult {
 
 /// Admissible upper bound on the answer F1 achievable by any trial
 /// containing sentence `i`: the QA model predicts a candidate span of at
-/// most [`MAX_SPAN`] tokens inside one sentence (or abstains, F1 = 0),
-/// and a span's F1 against the answer depends only on its own tokens —
-/// so `max` over a sentence's spans bounds what that sentence can
-/// contribute, and `max` over a trial's member sentences bounds the
-/// trial. Answers that normalize to nothing disable the bound (an
-/// abstention then scores F1 = 1).
+/// most [`MAX_SPAN`](gced_qa::model::MAX_SPAN) tokens inside one
+/// sentence (or abstains, F1 = 0), and a span's F1 against the answer
+/// depends only on its own tokens — so `max` over a sentence's spans
+/// bounds what that sentence can contribute, and `max` over a trial's
+/// member sentences bounds the trial. Answers that normalize to nothing
+/// disable the bound (an abstention then scores F1 = 1).
 ///
 /// Bit-identical to [`reference::sentence_f1_bounds`], which scores each
-/// span with `token_f1` over its joined text. Here each token is
-/// normalized once into answer-word slots and a span's common words are
-/// counted over a slot array; [`f1_from_counts`] is `token_f1`'s own
-/// arithmetic. For ASCII tokens, normalizing a joined span equals
-/// normalizing its tokens one by one — every join without a space puts a
-/// non-alphanumeric byte between them — except across a glued `n't`,
-/// which fuses with its left neighbour. Spans holding an `n't` or a
-/// non-ASCII token (whose lowercasing can depend on its neighbours, as
-/// the Greek final sigma does) are scored on the joined string instead.
+/// span with `token_f1` over its joined text. Here each span's common
+/// words are counted over the tokens' answer-word slots
+/// ([`crate::slots`]), with the joined-string path kept for spans
+/// holding a glued `n't` or a non-ASCII token.
 pub fn sentence_f1_bounds(doc: &Document, answer: &str) -> Vec<f64> {
-    let n_sents = doc.sentences.len();
-    let ans_norm = normalize_answer(answer);
-    if ans_norm.is_empty() {
-        return vec![1.0; n_sents];
-    }
-    // Distinct answer words (slots) and their multiplicities.
-    let mut words: Vec<&str> = Vec::new();
-    let mut quota: Vec<u32> = Vec::new();
-    for w in &ans_norm {
-        match words.iter().position(|x| x == w) {
-            Some(k) => quota[k] += 1,
-            None => {
-                words.push(w);
-                quota.push(1);
-            }
-        }
-    }
-    // Per token: its normalized words as slots (`NOT_ANSWER` for the
-    // rest), whether it shares a word with the answer (or is an `n't`,
-    // which forces evaluation), and whether it needs the string path.
-    const NOT_ANSWER: u32 = u32::MAX;
-    let n = doc.tokens.len();
-    let mut slots: Vec<u32> = Vec::with_capacity(n + n / 2);
-    let mut slot_end: Vec<u32> = Vec::with_capacity(n);
-    let mut overlap: Vec<bool> = Vec::with_capacity(n);
-    let mut joined: Vec<bool> = Vec::with_capacity(n);
-    for t in &doc.tokens {
-        let text = t.text.as_str();
-        if text.is_ascii() {
-            let mut hit = text.eq_ignore_ascii_case("n't");
-            for w in text
-                .split(|c: char| !c.is_ascii_alphanumeric())
-                .filter(|w| !w.is_empty() && !is_article(w))
-            {
-                let slot = words
-                    .iter()
-                    .position(|a| a.eq_ignore_ascii_case(w))
-                    .map_or(NOT_ANSWER, |k| k as u32);
-                hit |= slot != NOT_ANSWER;
-                slots.push(slot);
-            }
-            overlap.push(hit);
-            joined.push(text == "n't");
-        } else {
-            overlap.push(
-                normalize_answer(text)
-                    .iter()
-                    .any(|w| words.contains(&w.as_str()))
-                    || t.lower() == "n't",
-            );
-            joined.push(true);
-        }
-        slot_end.push(slots.len() as u32);
-    }
-    let token_slots = |i: usize| {
-        let lo = if i == 0 { 0 } else { slot_end[i - 1] as usize };
-        &slots[lo..slot_end[i] as usize]
-    };
-
-    let mut counts = vec![0u32; words.len()];
-    let mut bounds = vec![0.0f64; n_sents];
-    for (si, s) in doc.sentences.iter().enumerate() {
-        if !overlap[s.token_start..s.token_end].contains(&true) {
-            continue; // no shared token ⇒ every span scores F1 = 0
-        }
-        let mut best = 0.0f64;
-        for start in s.token_start..s.token_end {
-            let hi = (start + MAX_SPAN).min(s.token_end);
-            counts.fill(0);
-            let (mut common, mut pred_len) = (0usize, 0usize);
-            let (mut touched, mut slow) = (false, false);
-            for end in (start + 1)..=hi {
-                let i = end - 1;
-                touched |= overlap[i];
-                slow |= joined[i];
-                if !slow {
-                    for &slot in token_slots(i) {
-                        pred_len += 1;
-                        if slot != NOT_ANSWER {
-                            let k = slot as usize;
-                            counts[k] += 1;
-                            if counts[k] <= quota[k] {
-                                common += 1;
-                            }
-                        }
-                    }
-                }
-                if !touched {
-                    continue;
-                }
-                let f1 = if slow {
-                    token_f1(&join_tokens(&doc.tokens[start..end]), answer).f1
-                } else {
-                    f1_from_counts(common, pred_len, ans_norm.len()).f1
-                };
-                if f1 > best {
-                    best = f1;
-                }
-            }
-        }
-        bounds[si] = best;
-    }
-    bounds
-}
-
-/// The articles [`normalize_answer`] drops, on a not-yet-lowercased word.
-fn is_article(w: &str) -> bool {
-    ["a", "an", "the"].iter().any(|a| a.eq_ignore_ascii_case(w))
+    AnswerSlots::new(doc, &AnswerWords::new(answer)).sentence_bounds(doc, answer)
 }
 
 /// Run the greedy search over the engine's document. `max_sentences`
@@ -198,7 +88,7 @@ pub fn extract(ctx: &mut SearchContext<'_, '_>, max_sentences: usize) -> AseResu
     if n_sents == 0 {
         return AseResult::empty();
     }
-    let bounds = sentence_f1_bounds(doc, ctx.answer());
+    let bounds = ctx.slots().sentence_bounds(doc, ctx.answer());
     let cap = max_sentences.max(1).min(n_sents);
 
     let mut member = Bitset::new(n_sents);
@@ -433,6 +323,7 @@ mod tests {
     use super::*;
     use crate::scoring::{reference_perplexity, EvidenceScorer};
     use gced_lm::TrigramLm;
+    use gced_metrics::overlap::token_f1;
     use gced_qa::{ModelProfile, QaModel, QuestionAnalysis};
     use gced_text::analyze;
     use std::sync::OnceLock;
@@ -478,8 +369,12 @@ mod tests {
     ) -> AseResult {
         let lm = lm();
         let ppl_ref = reference_perplexity(lm, &[], 1);
-        let scorer = EvidenceScorer::new(qa, lm, question, answer, ppl_ref, (0.5, 0.2, 0.3));
-        let mut ctx = scorer.search_context(doc);
+        let table = crate::ids::IdTable::for_scoring(qa, lm);
+        let mut ids = table.request();
+        let scorer =
+            EvidenceScorer::new(qa, lm, &mut ids, question, answer, ppl_ref, (0.5, 0.2, 0.3));
+        let doc_ids = ids.intern(doc);
+        let mut ctx = scorer.search_context(doc, &doc_ids);
         let fast = extract(&mut ctx, cap);
         let q = QuestionAnalysis::new(question);
         let oracle = reference::extract(qa, &q, question, answer, doc, cap);

@@ -42,9 +42,11 @@ pub mod ase;
 pub mod cache;
 pub mod config;
 pub mod efc;
+pub mod ids;
 pub mod oec;
 pub mod qws;
 pub mod scoring;
+mod slots;
 pub mod trace;
 pub mod wsptc;
 
@@ -59,8 +61,10 @@ use gced_nn::{AttentionConfig, EmbeddingTable, MultiHeadAttention};
 use gced_parser::CkyParser;
 use gced_qa::{ModelProfile, QaModel};
 use gced_text::{analyze, join_tokens, Document};
+use ids::{DocIds, IdTable, RequestIds};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Distillation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,8 +111,10 @@ pub struct Distillation {
 struct DistillOpts {
     /// Run the clip search through the reference oracle.
     reference_clip: bool,
-    /// Run the grow search (ASE) through the reference oracle, and
-    /// analyse its sentences afresh rather than projecting them.
+    /// Run the grow search (ASE) through the reference oracle, analyse
+    /// its sentences afresh rather than projecting them, and run answer
+    /// location, QWS and the WSPTC embedding on token strings rather
+    /// than interned ids.
     reference_ase: bool,
     /// Allow candidate-level parallelism inside the clip search.
     parallel_clip: bool,
@@ -138,6 +144,8 @@ pub struct Gced {
     embeddings: EmbeddingTable,
     lm: TrigramLm,
     ppl_ref: f64,
+    /// Every fitted word interned once (derived from the parts above).
+    ids: Arc<IdTable>,
 }
 
 impl Gced {
@@ -187,15 +195,18 @@ impl Gced {
             seed: config.seed,
             positional_weight: 0.35,
         };
+        let lexicon = Lexicon::embedded();
+        let ids = Arc::new(IdTable::build(&qa, &lm, &embeddings, &lexicon));
         Gced {
             config,
             qa,
-            lexicon: Lexicon::embedded(),
+            lexicon,
             parser: CkyParser::embedded(),
             attention: MultiHeadAttention::new(attn_cfg),
             embeddings,
             lm,
             ppl_ref,
+            ids,
         }
     }
 
@@ -312,21 +323,25 @@ impl Gced {
         if answer.trim().is_empty() {
             return Err(DistillError::EmptyAnswer);
         }
-        let ctx_doc = {
+        // One id space per request: every document below is interned
+        // into it once, and the stages look words up by id.
+        let mut ids = self.ids.request();
+        let (ctx_doc, ctx_ids) = {
             let _s = gced_obs::span("analyze");
-            analyze(context)
+            let doc = analyze(context);
+            let doc_ids = ids.intern(&doc);
+            (doc, doc_ids)
         };
         if ctx_doc.is_empty() {
             return Err(DistillError::EmptyContext);
         }
         let mut trace = DistillTrace::default();
         let weights = self.config.effective_weights();
-        let question_doc = analyze(question);
-        let scorer = EvidenceScorer::with_question_doc(
+        let scorer = EvidenceScorer::new(
             &self.qa,
             &self.lm,
+            &mut ids,
             question,
-            &question_doc,
             answer,
             self.ppl_ref,
             weights,
@@ -349,7 +364,7 @@ impl Gced {
                     self.config.max_ase_sentences,
                 )
             } else {
-                let mut grow = scorer.search_context(&ctx_doc);
+                let mut grow = scorer.search_context(&ctx_doc, &ctx_ids);
                 let r = ase::extract(&mut grow, self.config.max_ase_sentences);
                 let (hits, misses) = grow.span_cache_stats();
                 gced_obs::counter("span_cache_hits", hits);
@@ -360,24 +375,35 @@ impl Gced {
             let projected = if opts.reference_ase {
                 None
             } else {
-                ctx_doc.project_sentences(&r.sentences, &text)
+                ctx_doc
+                    .project_sentences(&r.sentences, &text)
+                    .map(|doc| (doc, ctx_ids.project_sentences(&ctx_doc, &r.sentences)))
             };
-            let doc = projected.unwrap_or_else(|| {
+            let (doc, doc_ids) = projected.unwrap_or_else(|| {
                 let _s = gced_obs::span("analyze");
-                analyze(&text)
+                let doc = analyze(&text);
+                let doc_ids = ids.intern(&doc);
+                (doc, doc_ids)
             });
             trace.ase = Some(r);
-            (text, Some(doc))
+            (text, Some((doc, doc_ids)))
         } else {
             (context.to_string(), None)
         };
-        let aos = aos_doc.as_ref().unwrap_or(&ctx_doc);
+        let (aos, aos_ids) = match &aos_doc {
+            Some((doc, doc_ids)) => (doc, doc_ids),
+            None => (&ctx_doc, &ctx_ids),
+        };
         if aos.is_empty() {
             return Err(DistillError::EmptyContext);
         }
 
         // ---- answer tokens in the AOS -------------------------------------
-        let answer_tokens = locate_answer(aos, answer);
+        let answer_tokens = if opts.reference_ase {
+            reference::locate_answer(aos, answer)
+        } else {
+            locate_answer(&mut ids, aos_ids, answer)
+        };
         trace.answer_words = answer_tokens
             .iter()
             .map(|&i| aos.tokens[i].text.clone())
@@ -385,7 +411,16 @@ impl Gced {
 
         // ---- QWS -----------------------------------------------------------
         let clue_tokens = if self.config.ablation.use_qws {
-            let r = qws::select(&self.lexicon, &question_doc, aos, &answer_tokens);
+            let r = if opts.reference_ase {
+                qws::reference::select(&self.lexicon, scorer.question_doc().0, aos, &answer_tokens)
+            } else {
+                qws::select(
+                    &self.ids,
+                    scorer.question_doc(),
+                    (aos, aos_ids),
+                    &answer_tokens,
+                )
+            };
             trace.significant_words = r.significant_words;
             trace.clue_words = r
                 .clue_tokens
@@ -400,7 +435,18 @@ impl Gced {
         // ---- WSPTC ----------------------------------------------------------
         let wt = {
             let _s = gced_obs::span("wsptc");
-            wsptc::construct(&self.parser, &self.attention, &self.embeddings, aos)
+            if opts.reference_ase {
+                wsptc::construct(&self.parser, &self.attention, &self.embeddings, aos)
+            } else {
+                wsptc::construct_with_ids(
+                    &self.parser,
+                    &self.attention,
+                    &self.embeddings,
+                    &self.ids,
+                    aos,
+                    &aos_ids.lower,
+                )
+            }
         };
 
         // ---- EFC ------------------------------------------------------------
@@ -464,7 +510,7 @@ impl Gced {
                     te_root,
                     &protected,
                     &scorer,
-                    aos,
+                    (aos, aos_ids),
                     self.config.clip,
                     opts.parallel_clip,
                 );
@@ -582,17 +628,41 @@ impl Gced {
 /// Token indices of the answer inside the AOS: the first contiguous
 /// occurrence when present, otherwise a bag-of-words match (the answer
 /// may be a predicted string that only partially overlaps the context).
-fn locate_answer(aos: &Document, answer: &str) -> Vec<usize> {
-    let answer_doc = analyze(answer);
-    if let Some((s, e)) = gced_qa::model::gold_span_of(aos, &answer_doc) {
-        return (s..e).collect();
+/// Words compare by interned id; equal to [`reference::locate_answer`].
+fn locate_answer(ids: &mut RequestIds<'_>, aos_ids: &DocIds, answer: &str) -> Vec<usize> {
+    let answer_ids = ids.intern(&analyze(answer)).lower;
+    let n = answer_ids.len();
+    if n > 0 {
+        if let Some(s) = aos_ids.lower.windows(n).position(|w| w == answer_ids) {
+            return (s..s + n).collect();
+        }
     }
-    let answer_words: BTreeSet<String> = answer_doc.tokens.iter().map(|t| t.lower()).collect();
-    aos.tokens
-        .iter()
-        .filter(|t| answer_words.contains(&*t.lower_cow()))
-        .map(|t| t.index)
+    let mut bag = answer_ids;
+    bag.sort_unstable();
+    (0..aos_ids.lower.len())
+        .filter(|&i| bag.binary_search(&aos_ids.lower[i]).is_ok())
         .collect()
+}
+
+/// String formulations of the id-keyed distillation stages, kept as the
+/// oracles [`Gced::distill_with_reference_search`] runs.
+mod reference {
+    use gced_text::{analyze, Document};
+    use std::collections::BTreeSet;
+
+    /// [`super::locate_answer`] on lowercased token strings.
+    pub(super) fn locate_answer(aos: &Document, answer: &str) -> Vec<usize> {
+        let answer_doc = analyze(answer);
+        if let Some((s, e)) = gced_qa::model::gold_span_of(aos, &answer_doc) {
+            return (s..e).collect();
+        }
+        let answer_words: BTreeSet<String> = answer_doc.tokens.iter().map(|t| t.lower()).collect();
+        aos.tokens
+            .iter()
+            .filter(|t| answer_words.contains(&*t.lower_cow()))
+            .map(|t| t.index)
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -822,6 +892,95 @@ mod tests {
         let stats = cached.parse_cache_stats().expect("cache installed");
         assert!(stats.hits > 0, "warm pass never hit: {stats:?}");
         assert!(g.parse_cache_stats().is_none());
+    }
+
+    /// Inputs the generator never produces: OOV words shared by the
+    /// question and context, lexicon words the LM never saw, case
+    /// folding (Kelvin sign, dotted İ, long ſ), glued n't, repeated
+    /// answer words, and answers that normalize to nothing.
+    const OFF_GENERATOR: &[(&str, &str, &str)] = &[
+        (
+            "Who visited Zanzibar in the \u{212a}elvin year?",
+            "Qwxyz Plugh",
+            "The weather was mild. Qwxyz Plugh visited ZANZIBAR in the kelvin year. \
+             Zanzibar zanzibar welcomed qwxyz plugh.",
+        ),
+        (
+            "Which İSTANBUL team didn't lose the ſun cup?",
+            "İstanbul Rovers",
+            "İstanbul Rovers didn't lose the ſun cup. i̇stanbul rovers won it twice. \
+             The Rovers weren't beaten.",
+        ),
+        (
+            "Who beat the Panthers twice?",
+            "Broncos Broncos",
+            "The Broncos beat the Panthers. The Broncos Broncos chant was loud. \
+             Panthers fans left early.",
+        ),
+        (
+            "Which violin player won the championship?",
+            "the",
+            "A violin player won the championship. The piano player lost the final.",
+        ),
+        (
+            "What did the famous singer shout?",
+            "!?",
+            "The famous singer shouted loudly! The crowd cheered? Nobody knew.",
+        ),
+        (
+            "Who didn't arrive?",
+            "didn't",
+            "The coach didn't arrive. The team did n't wait. Didn't they?",
+        ),
+        (
+            "Which ΟΔΟΣ did the team take?",
+            "ΟΔΟΣ Straße",
+            "The team took the ΟΔΟΣ Straße home. Οδος straße is long. CAFÉ café.",
+        ),
+    ];
+
+    #[test]
+    fn id_path_matches_the_string_reference_off_the_generator() {
+        let (g, _) = fitted();
+        for &(question, answer, context) in OFF_GENERATOR {
+            let fast = g.distill(question, answer, context).unwrap();
+            let oracle = g
+                .distill_with_reference_search(question, answer, context)
+                .unwrap();
+            assert_eq!(fast.evidence, oracle.evidence, "{question:?}");
+            assert_eq!(fast.evidence_tokens, oracle.evidence_tokens);
+            assert_eq!(fast.scores, oracle.scores, "{question:?}");
+            assert_eq!(fast.aos_text, oracle.aos_text);
+            assert_eq!(
+                format!("{:?}", fast.trace),
+                format!("{:?}", oracle.trace),
+                "{question:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn locate_answer_by_id_matches_the_string_reference() {
+        let (g, _) = fitted();
+        for &(question, answer, context) in OFF_GENERATOR {
+            let aos = analyze(context);
+            for ans in [
+                answer,
+                question,
+                "zanzibar QWXYZ",
+                "the the",
+                "",
+                "Rovers İstanbul",
+            ] {
+                let mut ids = g.ids.request();
+                let aos_ids = ids.intern(&aos);
+                assert_eq!(
+                    locate_answer(&mut ids, &aos_ids, ans),
+                    reference::locate_answer(&aos, ans),
+                    "{context:?} / {ans:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::config::ClipMode;
 use crate::efc::EvidenceForest;
+use crate::ids::DocIds;
 use crate::scoring::{Bitset, EvidenceScorer, EvidenceScores, ScoreScratch};
 use crate::wsptc::WeightedTree;
 use gced_text::Document;
@@ -159,7 +160,7 @@ pub fn clip(
     te_root: usize,
     protected: &BTreeSet<usize>,
     scorer: &EvidenceScorer<'_>,
-    aos: &Document,
+    aos: (&Document, &DocIds),
     mode: ClipMode,
 ) -> Vec<ClipStep> {
     clip_with_options(wt, te, te_root, protected, scorer, aos, mode, true).0
@@ -184,7 +185,7 @@ pub(crate) fn clip_with_options(
     te_root: usize,
     protected: &BTreeSet<usize>,
     scorer: &EvidenceScorer<'_>,
-    aos: &Document,
+    aos: (&Document, &DocIds),
     mode: ClipMode,
     allow_parallel: bool,
 ) -> (Vec<ClipStep>, EvidenceScores) {
@@ -195,7 +196,7 @@ pub(crate) fn clip_with_options(
     let n = wt.tree.len();
     let mut members = Bitset::from_iter(n, te.iter().copied());
     let mut te_size = te.len();
-    let mut search = scorer.search_context(aos);
+    let mut search = scorer.search_context(aos.0, aos.1);
     search.set_base(te.iter().copied());
     let mut scratch = ScoreScratch::default();
     let mut decomp = Decomposition::new(n);
@@ -690,9 +691,12 @@ mod tests {
     #[test]
     fn optimized_clip_matches_reference_on_random_trees() {
         let (qa, lm, ppl_ref) = oracle_scorer_parts();
+        let table = crate::ids::IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
         let scorer = EvidenceScorer::new(
             &qa,
             &lm,
+            &mut ids,
             "Which team won the final game?",
             "broncos",
             ppl_ref,
@@ -716,6 +720,7 @@ mod tests {
                 .collect();
             let aos = gced_text::analyze(&text.join(" "));
             assert_eq!(aos.len(), n, "token count mismatch in test setup");
+            let aos_ids = ids.intern(&aos);
             // Random evidence selection: connected on even cases (full
             // subtree of the root), random subset (possibly
             // disconnected) on odd cases.
@@ -742,7 +747,15 @@ mod tests {
                 let steps_ref =
                     reference::clip(&wt, &mut te_ref, te_root, &protected, &scorer, &aos, mode);
                 let mut te_opt = te.clone();
-                let steps_opt = clip(&wt, &mut te_opt, te_root, &protected, &scorer, &aos, mode);
+                let steps_opt = clip(
+                    &wt,
+                    &mut te_opt,
+                    te_root,
+                    &protected,
+                    &scorer,
+                    (&aos, &aos_ids),
+                    mode,
+                );
                 assert_eq!(
                     steps_ref, steps_opt,
                     "case {case} mode {mode:?}: step log differs"
@@ -760,9 +773,12 @@ mod tests {
     #[test]
     fn clip_final_scores_match_rescore() {
         let (qa, lm, ppl_ref) = oracle_scorer_parts();
+        let table = crate::ids::IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
         let scorer = EvidenceScorer::new(
             &qa,
             &lm,
+            &mut ids,
             "Which team won the final game?",
             "broncos",
             ppl_ref,
@@ -783,6 +799,7 @@ mod tests {
                 .map(|i| ORACLE_WORDS[i % ORACLE_WORDS.len()])
                 .collect();
             let aos = gced_text::analyze(&text.join(" "));
+            let aos_ids = ids.intern(&aos);
             let te_root = wt.tree.root();
             let protected: BTreeSet<usize> = [te_root].into_iter().collect();
             let mut te: BTreeSet<usize> = (0..n).collect();
@@ -792,7 +809,7 @@ mod tests {
                 te_root,
                 &protected,
                 &scorer,
-                &aos,
+                (&aos, &aos_ids),
                 ClipMode::WhileImproving { max: 8 },
                 false,
             );

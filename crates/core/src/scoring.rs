@@ -27,17 +27,22 @@
 //! candidate selections of the *same* analysed document: the grow search
 //! (ASE) trials sentence subsets of the context, the clip search (SCS)
 //! trials token removals of the evidence. [`SearchContext`] is the one
-//! incremental engine both run on: per document it owns the lowercased
-//! LM word ids, the per-position LM scores of the current evidence, and
-//! the QA span-score partials keyed by (sentence run, clue layout)
-//! ([`gced_qa::SelectionScoreCache`]). Each candidate selection is then
-//! scored with zero re-tokenization, replayed span partials for the
-//! unchanged runs ([`gced_qa::QaModel::predict_selection_cached`]), and
-//! an incremental log-prob walk
+//! incremental engine both run on: per document it owns the LM word ids
+//! (looked up by interned token id, [`crate::ids`]), the per-position LM
+//! scores of the current evidence, the QA span-score partials keyed by
+//! (sentence run, clue layout) ([`gced_qa::SelectionScoreCache`]), and
+//! the answer-word slots of every token ([`AnswerSlots`]). Each
+//! candidate selection is then scored with zero re-tokenization,
+//! replayed span partials for the unchanged runs
+//! ([`gced_qa::QaModel::predict_selection_span_cached`]), an Eq. 1 F1
+//! counted over the predicted span's slots without building its text,
+//! and an incremental log-prob walk
 //! ([`gced_lm::TrigramLm::log_prob_after_removal`]) — all
 //! **bitwise-identical** to scoring the selection from scratch, the
 //! invariant the grow- and clip-search oracle tests pin down.
 
+use crate::ids::{DocIds, IdTable, RequestIds};
+use crate::slots::{AnswerSlots, AnswerWords};
 use gced_lm::{SeqScores, TrigramLm};
 use gced_metrics::overlap::token_f1;
 use gced_qa::{QaModel, QuestionAnalysis, SelectionScoreCache, SelectionScratch};
@@ -62,13 +67,20 @@ pub struct EvidenceScores {
     pub hybrid: f64,
 }
 
-/// Scores evidences against one (question, answer) pair.
+/// Scores evidences against one (question, answer) pair. The question
+/// is interned into the caller's request id space; documents scored
+/// through [`EvidenceScorer::search_context`] must be interned into the
+/// same one.
 pub struct EvidenceScorer<'a> {
     qa: &'a QaModel,
     lm: &'a TrigramLm,
+    table: &'a IdTable,
     question: &'a str,
+    question_doc: Document,
+    question_ids: DocIds,
     q_analysis: QuestionAnalysis,
     answer: &'a str,
+    answer_words: AnswerWords,
     answer_len: usize,
     ppl_ref: f64,
     weights: (f64, f64, f64),
@@ -84,43 +96,44 @@ pub struct ScoreScratch {
 }
 
 impl<'a> EvidenceScorer<'a> {
-    /// Build a scorer. `ppl_ref` is the corpus reference perplexity
+    /// Build a scorer, analysing the question and interning it into
+    /// `ids` (a request id space over the id table of `qa` and `lm`,
+    /// [`IdTable::build`]). `ppl_ref` is the corpus reference perplexity
     /// (see [`reference_perplexity`]); `weights` is the effective
     /// (α, β, γ).
     pub fn new(
         qa: &'a QaModel,
         lm: &'a TrigramLm,
+        ids: &mut RequestIds<'a>,
         question: &'a str,
         answer: &'a str,
         ppl_ref: f64,
         weights: (f64, f64, f64),
     ) -> Self {
         let question_doc = gced_text::analyze(question);
-        Self::with_question_doc(qa, lm, question, &question_doc, answer, ppl_ref, weights)
-    }
-
-    /// [`EvidenceScorer::new`] for a question already analysed as
-    /// `question_doc` (a distillation analyses its question once).
-    pub fn with_question_doc(
-        qa: &'a QaModel,
-        lm: &'a TrigramLm,
-        question: &'a str,
-        question_doc: &Document,
-        answer: &'a str,
-        ppl_ref: f64,
-        weights: (f64, f64, f64),
-    ) -> Self {
+        let question_ids = ids.intern(&question_doc);
+        let q_analysis =
+            QuestionAnalysis::from_doc_ids(&question_doc, &question_ids.lower, &question_ids.lemma);
         let answer_len = answer.split_whitespace().count();
         EvidenceScorer {
             qa,
             lm,
+            table: ids.table(),
             question,
-            q_analysis: QuestionAnalysis::from_doc(question_doc),
+            question_doc,
+            question_ids,
+            q_analysis,
             answer,
+            answer_words: AnswerWords::new(answer),
             answer_len,
             ppl_ref: ppl_ref.max(1.0),
             weights,
         }
+    }
+
+    /// The analysed question and its token ids.
+    pub fn question_doc(&self) -> (&Document, &DocIds) {
+        (&self.question_doc, &self.question_ids)
     }
 
     /// The question analysis (shared with ASE).
@@ -189,17 +202,30 @@ impl<'a> EvidenceScorer<'a> {
         self.assemble(informativeness, selected.len(), ppl)
     }
 
-    /// Start an incremental search session over one analysed document —
-    /// the shared engine of the grow and clip phases.
-    pub fn search_context<'s>(&'s self, doc: &'s Document) -> SearchContext<'s, 'a> {
+    /// Start an incremental search session over one analysed document
+    /// (`ids` interned into the scorer's request id space) — the shared
+    /// engine of the grow and clip phases.
+    pub fn search_context<'s>(
+        &'s self,
+        doc: &'s Document,
+        ids: &'s DocIds,
+    ) -> SearchContext<'s, 'a> {
         SearchContext {
             scorer: self,
             aos: doc,
+            ids,
+            slots: AnswerSlots::new(doc, &self.answer_words),
             tok_ids: None,
             base: Vec::new(),
             pos_in_base: vec![usize::MAX; doc.len()],
             base_seq: None,
-            qa_cache: SelectionScoreCache::new(),
+            qa_cache: SelectionScoreCache::for_ids(
+                &self.q_analysis,
+                doc,
+                &ids.lower,
+                &ids.lemma,
+                self.table.idf(),
+            ),
         }
     }
 
@@ -240,16 +266,22 @@ impl<'a> EvidenceScorer<'a> {
 ///   ([`gced_qa::SelectionScoreCache`]) — near-identical selections
 ///   (adjacent grow trials, consecutive clip iterations) re-score only
 ///   the runs that changed;
-/// * **LM caches** — per-token word ids interned once, and the current
-///   evidence ("base") carries per-position trigram scores so a removal
-///   costs an incremental log-prob walk.
+/// * **LM caches** — per-token LM word ids read off the id table, and
+///   the current evidence ("base") carries per-position trigram scores
+///   so a removal costs an incremental log-prob walk;
+/// * **answer-word slots** — every token normalized once against the
+///   answer ([`AnswerSlots`]), so a prediction's Eq. 1 F1 is a count.
 ///
 /// Every score produced here is bitwise-identical to
 /// [`EvidenceScorer::score_selection`] on the corresponding selection.
 pub struct SearchContext<'s, 'a> {
     scorer: &'s EvidenceScorer<'a>,
     aos: &'s Document,
-    /// LM word id per document token (interned on first `set_base` —
+    /// Interned token ids of `aos`.
+    ids: &'s DocIds,
+    /// Answer-word slots of every token (the Eq. 1 F1 of a span).
+    slots: AnswerSlots<'s>,
+    /// LM word id per document token (looked up on first `set_base` —
     /// grow-only contexts never touch the LM).
     tok_ids: Option<Vec<WordId>>,
     /// Current evidence selection, ascending token indices.
@@ -273,23 +305,29 @@ impl<'s, 'a> SearchContext<'s, 'a> {
         self.scorer.answer
     }
 
+    /// The answer-word slots of the document's tokens.
+    pub(crate) fn slots(&self) -> &AnswerSlots<'s> {
+        &self.slots
+    }
+
     /// Informativeness (Eq. 1 F1) of an arbitrary selection — the grow
     /// search's trial metric, served through the span-score cache.
     pub fn informativeness_of(&mut self, selected: &[usize]) -> f64 {
         let Self {
             scorer,
             aos,
+            slots,
             qa_cache,
             ..
         } = self;
-        let pred = scorer.qa.predict_selection_cached(
+        let span = scorer.qa.predict_selection_span_cached(
             &scorer.q_analysis,
             aos,
             selected,
             scorer.question,
             qa_cache,
         );
-        token_f1(&pred.text, scorer.answer).f1
+        slots.prediction_f1(aos, selected, span, scorer.answer)
     }
 
     /// Cache-effectiveness counters of the span-score cache:
@@ -313,13 +351,10 @@ impl<'s, 'a> SearchContext<'s, 'a> {
         for (pos, &i) in self.base.iter().enumerate() {
             self.pos_in_base[i] = pos;
         }
-        let tok_ids = self.tok_ids.get_or_insert_with(|| {
-            self.aos
-                .tokens
-                .iter()
-                .map(|t| self.scorer.lm.vocab().get(&t.lower_cow()))
-                .collect()
-        });
+        let table = self.scorer.table;
+        let tok_ids = self
+            .tok_ids
+            .get_or_insert_with(|| self.ids.lower.iter().map(|&w| table.lm_id(w)).collect());
         let ids: Vec<WordId> = self.base.iter().map(|&i| tok_ids[i]).collect();
         self.base_seq = Some(self.scorer.lm.seq_scores(ids));
     }
@@ -403,35 +438,27 @@ impl<'s, 'a> SearchContext<'s, 'a> {
             self.scorer.question,
             &mut scratch.qa,
         );
-        token_f1(&pred.text, self.scorer.answer).f1
+        self.slots
+            .prediction_f1(self.aos, &scratch.indices, pred.span, self.scorer.answer)
     }
 
     /// Cached twin of [`SearchContext::informativeness_of_remaining`].
     fn informativeness_of_remaining_cached(&mut self, scratch: &ScoreScratch) -> f64 {
         let SearchContext {
-            scorer, qa_cache, ..
+            scorer,
+            aos,
+            slots,
+            qa_cache,
+            ..
         } = self;
-        let pred = scorer.qa.predict_selection_cached(
+        let span = scorer.qa.predict_selection_span_cached(
             &scorer.q_analysis,
-            self.aos,
+            aos,
             &scratch.indices,
             scorer.question,
             qa_cache,
         );
-        token_f1(&pred.text, scorer.answer).f1
-    }
-
-    /// Hybrid score of the evidence after removing `removed`, with the
-    /// conciseness-discard shortcut: a remainder not longer than the
-    /// answer scores −∞ (Eq. 2) whatever its other terms, so the QA and
-    /// LM work is skipped. Always equal to
-    /// `self.score_removal(removed, scratch).hybrid`.
-    pub fn hybrid_after_removal(&self, removed: &[usize], scratch: &mut ScoreScratch) -> f64 {
-        let remaining = self.base.len() - removed.len();
-        if remaining <= self.scorer.answer_len {
-            return f64::NEG_INFINITY;
-        }
-        self.score_removal(removed, scratch).hybrid
+        slots.prediction_f1(aos, &scratch.indices, span, scorer.answer)
     }
 
     /// [`SearchContext::score_removal_cached`] with an exact
@@ -495,7 +522,6 @@ impl<'s, 'a> SearchContext<'s, 'a> {
 /// set scan or clone.
 pub(crate) struct Bitset {
     words: Vec<u64>,
-    n: usize,
 }
 
 impl Bitset {
@@ -503,7 +529,6 @@ impl Bitset {
     pub(crate) fn new(n: usize) -> Self {
         Bitset {
             words: vec![0; n.div_ceil(64)],
-            n,
         }
     }
 
@@ -528,8 +553,19 @@ impl Bitset {
         self.words[i / 64] &= !(1 << (i % 64));
     }
 
+    /// The members in ascending order, word by word: each step clears
+    /// the lowest set bit, so empty words cost one test.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(|&i| self.contains(i))
+        self.words.iter().enumerate().flat_map(|(k, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    k * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -561,6 +597,21 @@ mod tests {
     use super::*;
     use gced_qa::ModelProfile;
 
+    #[test]
+    fn bitset_iter_walks_members_in_ascending_order() {
+        for n in [0, 1, 63, 64, 65, 130, 200] {
+            let members: Vec<usize> = (0..n).filter(|i| i % 3 == 0 || i % 64 == 63).collect();
+            let mut b = Bitset::from_iter(n, members.iter().copied());
+            assert_eq!(b.iter().collect::<Vec<_>>(), members, "n = {n}");
+            let oracle: Vec<usize> = (0..n).filter(|&i| b.contains(i)).collect();
+            assert_eq!(b.iter().collect::<Vec<_>>(), oracle);
+            for &i in &members {
+                b.remove(i);
+            }
+            assert_eq!(b.iter().count(), 0);
+        }
+    }
+
     fn corpus() -> Vec<Vec<String>> {
         [
             "the broncos defeated the panthers to earn the title",
@@ -583,9 +634,12 @@ mod tests {
     #[test]
     fn informative_evidence_scores_high_i() {
         let (qa, lm, ppl_ref) = scorer_parts();
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
         let s = EvidenceScorer::new(
             &qa,
             &lm,
+            &mut ids,
             "Which team defeated the Panthers?",
             "Broncos",
             ppl_ref,
@@ -602,9 +656,12 @@ mod tests {
     #[test]
     fn conciseness_discards_evidence_not_longer_than_answer() {
         let (qa, lm, ppl_ref) = scorer_parts();
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
         let s = EvidenceScorer::new(
             &qa,
             &lm,
+            &mut ids,
             "Who won?",
             "Denver Broncos",
             ppl_ref,
@@ -626,7 +683,17 @@ mod tests {
     #[test]
     fn shorter_evidence_is_more_concise() {
         let (qa, lm, ppl_ref) = scorer_parts();
-        let s = EvidenceScorer::new(&qa, &lm, "Who won?", "Broncos", ppl_ref, (0.5, 0.2, 0.3));
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
+        let s = EvidenceScorer::new(
+            &qa,
+            &lm,
+            &mut ids,
+            "Who won?",
+            "Broncos",
+            ppl_ref,
+            (0.5, 0.2, 0.3),
+        );
         let short: Vec<String> = "the broncos won".split(' ').map(String::from).collect();
         let long: Vec<String> = "the broncos won the final game in the city of denver that year"
             .split(' ')
@@ -641,7 +708,17 @@ mod tests {
     #[test]
     fn fluent_evidence_is_more_readable() {
         let (qa, lm, ppl_ref) = scorer_parts();
-        let s = EvidenceScorer::new(&qa, &lm, "Who won?", "Broncos", ppl_ref, (0.5, 0.2, 0.3));
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
+        let s = EvidenceScorer::new(
+            &qa,
+            &lm,
+            &mut ids,
+            "Who won?",
+            "Broncos",
+            ppl_ref,
+            (0.5, 0.2, 0.3),
+        );
         let fluent: Vec<String> = "the broncos won the final game"
             .split(' ')
             .map(String::from)
@@ -659,7 +736,17 @@ mod tests {
     #[test]
     fn normalized_scores_in_unit_interval() {
         let (qa, lm, ppl_ref) = scorer_parts();
-        let s = EvidenceScorer::new(&qa, &lm, "Who won?", "Broncos", ppl_ref, (0.5, 0.2, 0.3));
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
+        let s = EvidenceScorer::new(
+            &qa,
+            &lm,
+            &mut ids,
+            "Who won?",
+            "Broncos",
+            ppl_ref,
+            (0.5, 0.2, 0.3),
+        );
         let sc = s.score_tokens(
             &"the broncos won the game"
                 .split(' ')
@@ -675,7 +762,17 @@ mod tests {
     #[test]
     fn normalization_preserves_raw_ordering() {
         let (qa, lm, ppl_ref) = scorer_parts();
-        let s = EvidenceScorer::new(&qa, &lm, "Who won?", "Broncos", ppl_ref, (0.5, 0.2, 0.3));
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
+        let s = EvidenceScorer::new(
+            &qa,
+            &lm,
+            &mut ids,
+            "Who won?",
+            "Broncos",
+            ppl_ref,
+            (0.5, 0.2, 0.3),
+        );
         let e1: Vec<String> = "the broncos won".split(' ').map(String::from).collect();
         let e2: Vec<String> = "the broncos won the final game in denver"
             .split(' ')
@@ -704,9 +801,12 @@ mod tests {
     #[test]
     fn search_context_matches_one_shot_scoring_bitwise() {
         let (qa, lm, ppl_ref) = scorer_parts();
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
         let s = EvidenceScorer::new(
             &qa,
             &lm,
+            &mut ids,
             "Which team defeated the Panthers?",
             "Broncos",
             ppl_ref,
@@ -717,7 +817,8 @@ mod tests {
              The band played all night in the stadium.",
         );
         let base: Vec<usize> = (0..aos.len()).collect();
-        let mut ds = s.search_context(&aos);
+        let aos_ids = ids.intern(&aos);
+        let mut ds = s.search_context(&aos, &aos_ids);
         ds.set_base(base.iter().copied());
         let mut scratch = ScoreScratch::default();
         // Try several removal sets, including empty and near-total.
@@ -740,12 +841,16 @@ mod tests {
             assert_eq!(one_shot, incremental, "removal {removed:?}");
             let through_cache = ds.score_removal_cached(&removed, &mut scratch);
             assert_eq!(one_shot, through_cache, "cached removal {removed:?}");
-            let h = ds.hybrid_after_removal(&removed, &mut scratch);
-            assert!(
-                h == one_shot.hybrid || (h.is_infinite() && one_shot.hybrid.is_infinite()),
-                "hybrid shortcut mismatch for {removed:?}: {h} vs {}",
-                one_shot.hybrid
-            );
+            // With no floor nothing is pruned: a surviving removal is
+            // bitwise the full score, a discarded one is −∞.
+            let competitive = ds
+                .score_if_competitive(&removed, f64::NEG_INFINITY, &mut scratch)
+                .expect("no floor prunes nothing");
+            if one_shot.hybrid.is_finite() {
+                assert_eq!(competitive, one_shot, "competitive removal {removed:?}");
+            } else {
+                assert_eq!(competitive.hybrid, f64::NEG_INFINITY, "{removed:?}");
+            }
         }
         let (hits, misses) = ds.span_cache_stats();
         assert!(hits > 0, "repeated runs never replayed ({hits}/{misses})");
@@ -754,9 +859,20 @@ mod tests {
     #[test]
     fn search_context_rebase_after_clip() {
         let (qa, lm, ppl_ref) = scorer_parts();
-        let s = EvidenceScorer::new(&qa, &lm, "Who won?", "Broncos", ppl_ref, (0.5, 0.2, 0.3));
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
+        let s = EvidenceScorer::new(
+            &qa,
+            &lm,
+            &mut ids,
+            "Who won?",
+            "Broncos",
+            ppl_ref,
+            (0.5, 0.2, 0.3),
+        );
         let aos = gced_text::analyze("The Broncos won the final game in Denver.");
-        let mut ds = s.search_context(&aos);
+        let aos_ids = ids.intern(&aos);
+        let mut ds = s.search_context(&aos, &aos_ids);
         ds.set_base(0..aos.len());
         let mut scratch = ScoreScratch::default();
         let first = ds.score_removal(&[5, 6], &mut scratch);
@@ -770,9 +886,12 @@ mod tests {
     #[test]
     fn informativeness_of_matches_one_shot_scoring() {
         let (qa, lm, ppl_ref) = scorer_parts();
+        let table = IdTable::for_scoring(&qa, &lm);
+        let mut ids = table.request();
         let s = EvidenceScorer::new(
             &qa,
             &lm,
+            &mut ids,
             "Which team defeated the Panthers?",
             "Broncos",
             ppl_ref,
@@ -782,7 +901,8 @@ mod tests {
             "The weather was mild. The Denver Broncos defeated the Carolina Panthers. \
              Tickets sold out early.",
         );
-        let mut ctx = s.search_context(&doc);
+        let doc_ids = ids.intern(&doc);
+        let mut ctx = s.search_context(&doc, &doc_ids);
         for sel in [
             (0..doc.len()).collect::<Vec<_>>(),
             doc.sentences

@@ -145,6 +145,22 @@ impl Lexicon {
     pub fn synset_count(&self) -> usize {
         self.synsets.len()
     }
+
+    /// Every word that appears in some relation ([`Lexicon::knows`]),
+    /// sorted and deduplicated.
+    pub fn words(&self) -> Vec<&str> {
+        let mut out: Vec<&str> = self
+            .synset_index
+            .keys()
+            .chain(self.antonyms.keys())
+            .chain(self.hypernyms.keys())
+            .chain(self.hyponyms.keys())
+            .map(String::as_str)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 }
 
 /// Incremental construction of a [`Lexicon`].
@@ -282,6 +298,28 @@ mod tests {
         assert!(lex.siblings("zebra").is_empty());
         assert_eq!(lex.related("zebra").len(), 1); // just itself
         assert!(!lex.knows("zebra"));
+    }
+
+    #[test]
+    fn words_lists_every_known_word_once() {
+        let lex = tiny();
+        let words = lex.words();
+        assert_eq!(
+            words,
+            vec![
+                "beat",
+                "defeat",
+                "guitar",
+                "instrument",
+                "lose",
+                "overcome",
+                "piano",
+                "violin",
+                "win"
+            ]
+        );
+        assert!(words.iter().all(|w| lex.knows(w)));
+        assert!(Lexicon::empty().words().is_empty());
     }
 
     #[test]

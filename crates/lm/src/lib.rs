@@ -24,6 +24,42 @@
 
 use gced_text::vocab::{Vocab, WordId, UNK};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The hasher of the n-gram count tables: their keys are small word-id
+/// tuples, which the default SipHash would hash at several times the
+/// cost of the lookup itself. It is fixed, not keyed: keys are inserted
+/// only while training on the corpus, so request input can choose which
+/// entries a lookup probes but never add colliding ones. The tables are
+/// only looked up; every one that reaches output is sorted first
+/// ([`TrigramLm::to_parts`]).
+type IdHash = BuildHasherDefault<IdHasher>;
+
+/// FxHash's mixing step over the `u32` words of a [`WordId`] key.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Absolute discount used at every level (standard KN default).
 const DISCOUNT: f64 = 0.75;
@@ -36,19 +72,19 @@ const BOS: WordId = WordId(u32::MAX);
 pub struct TrigramLm {
     vocab: Vocab,
     /// Raw trigram counts c(u,v,w).
-    c3: HashMap<(WordId, WordId, WordId), u64>,
+    c3: HashMap<(WordId, WordId, WordId), u64, IdHash>,
     /// Raw bigram counts c(u,v) over *history* positions (includes BOS).
-    c2: HashMap<(WordId, WordId), u64>,
+    c2: HashMap<(WordId, WordId), u64, IdHash>,
     /// Distinct continuations after history (u,v): N1+(uv·).
-    follow2: HashMap<(WordId, WordId), u64>,
+    follow2: HashMap<(WordId, WordId), u64, IdHash>,
     /// Continuation count of bigram (v,w): N1+(·vw).
-    cont2: HashMap<(WordId, WordId), u64>,
+    cont2: HashMap<(WordId, WordId), u64, IdHash>,
     /// N1+(·v·) = Σ_w N1+(·vw).
-    mid1: HashMap<WordId, u64>,
+    mid1: HashMap<WordId, u64, IdHash>,
     /// Distinct continuations after unigram v: N1+(v·).
-    follow1: HashMap<WordId, u64>,
+    follow1: HashMap<WordId, u64, IdHash>,
     /// Continuation count of unigram w: N1+(·w).
-    cont1: HashMap<WordId, u64>,
+    cont1: HashMap<WordId, u64, IdHash>,
     /// Total distinct bigram types N1+(··).
     bigram_types: u64,
 }
@@ -57,15 +93,15 @@ impl TrigramLm {
     /// Train on tokenized, lowercased sentences.
     pub fn train(sentences: &[Vec<String>]) -> Self {
         let mut vocab = Vocab::new();
-        let mut c3 = HashMap::new();
-        let mut c2 = HashMap::new();
-        let mut seen3: HashSet<(WordId, WordId, WordId)> = HashSet::new();
-        let mut seen2: HashSet<(WordId, WordId)> = HashSet::new();
-        let mut follow2: HashMap<(WordId, WordId), u64> = HashMap::new();
-        let mut cont2: HashMap<(WordId, WordId), u64> = HashMap::new();
-        let mut follow1: HashMap<WordId, u64> = HashMap::new();
-        let mut cont1: HashMap<WordId, u64> = HashMap::new();
-        let mut mid1: HashMap<WordId, u64> = HashMap::new();
+        let mut c3: HashMap<(WordId, WordId, WordId), u64, IdHash> = HashMap::default();
+        let mut c2: HashMap<(WordId, WordId), u64, IdHash> = HashMap::default();
+        let mut seen3: HashSet<(WordId, WordId, WordId), IdHash> = HashSet::default();
+        let mut seen2: HashSet<(WordId, WordId), IdHash> = HashSet::default();
+        let mut follow2: HashMap<(WordId, WordId), u64, IdHash> = HashMap::default();
+        let mut cont2: HashMap<(WordId, WordId), u64, IdHash> = HashMap::default();
+        let mut follow1: HashMap<WordId, u64, IdHash> = HashMap::default();
+        let mut cont1: HashMap<WordId, u64, IdHash> = HashMap::default();
+        let mut mid1: HashMap<WordId, u64, IdHash> = HashMap::default();
 
         for sent in sentences {
             if sent.is_empty() {
@@ -337,7 +373,7 @@ impl TrigramLm {
     /// artifact byte-deterministic across runs despite the internal
     /// `HashMap`s.
     pub fn to_parts(&self) -> LmParts {
-        fn sorted<K: Ord + Copy>(map: &HashMap<K, u64>) -> Vec<(K, u64)> {
+        fn sorted<K: Ord + Copy>(map: &HashMap<K, u64, IdHash>) -> Vec<(K, u64)> {
             let mut v: Vec<(K, u64)> = map.iter().map(|(&k, &c)| (k, c)).collect();
             v.sort_unstable_by_key(|&(k, _)| k);
             v

@@ -193,19 +193,29 @@ impl MultiHeadAttention {
     /// independently.
     pub fn embed_sequence(&self, words: &[String], table: &EmbeddingTable) -> Matrix {
         assert_eq!(table.dim(), self.config.d_model, "embedding dim mismatch");
-        let n = words.len();
-        let d = self.config.d_model;
-        let mut x = Matrix::zeros(n, d);
-        let mut first: HashMap<&str, usize> = HashMap::new();
-        for (i, word) in words.iter().enumerate() {
-            match first.get(word.as_str()) {
-                Some(&src) => x.copy_row(src, i),
-                None => {
-                    table.embed_into(word, x.row_mut(i));
-                    first.insert(word.as_str(), i);
+        self.embed_rows(words.len(), |x| {
+            let mut first: HashMap<&str, usize> = HashMap::new();
+            for (i, word) in words.iter().enumerate() {
+                match first.get(word.as_str()) {
+                    Some(&src) => x.copy_row(src, i),
+                    None => {
+                        table.embed_into(word, x.row_mut(i));
+                        first.insert(word.as_str(), i);
+                    }
                 }
             }
-        }
+        })
+    }
+
+    /// [`MultiHeadAttention::embed_sequence`] for callers that embed the
+    /// tokens themselves: `fill` writes the base embedding of token `i`
+    /// into row `i` of an `n × d_model` zero matrix, and the positional
+    /// term is added after. Rows filled with `embed_sequence`'s
+    /// embeddings give its bits exactly.
+    pub fn embed_rows(&self, n: usize, fill: impl FnOnce(&mut Matrix)) -> Matrix {
+        let d = self.config.d_model;
+        let mut x = Matrix::zeros(n, d);
+        fill(&mut x);
         let w = self.config.positional_weight;
         for i in 0..n {
             if i < POSITIONAL_CACHE_ROWS {

@@ -25,8 +25,11 @@ use std::hash::{Hash, Hasher};
 pub struct EmbeddingTable {
     dim: usize,
     seed: u64,
-    /// Refined vectors for fitted vocabulary words (lowercased).
-    refined: HashMap<String, Vec<f32>>,
+    /// Fitted vocabulary word (lowercased) -> its row of `rows`.
+    index: HashMap<String, u32>,
+    /// Refined vectors for fitted words, `dim` floats per row (rows in
+    /// the order words were first fitted or restored).
+    rows: Vec<f32>,
 }
 
 impl EmbeddingTable {
@@ -36,7 +39,8 @@ impl EmbeddingTable {
         EmbeddingTable {
             dim,
             seed,
-            refined: HashMap::new(),
+            index: HashMap::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -60,24 +64,34 @@ impl EmbeddingTable {
     ///
     /// [`MultiHeadAttention::embed_sequence`]: crate::attention::MultiHeadAttention::embed_sequence
     pub fn embed_into(&self, word: &str, out: &mut [f32]) {
-        assert_eq!(out.len(), self.dim, "embed_into buffer of wrong dim");
-        // Already-lowercase ASCII (the hot path's pre-lowered tokens) is
-        // its own `to_lowercase`; borrow it instead of copying.
-        let lower: Cow<'_, str> = if word
-            .bytes()
-            .any(|b| !b.is_ascii() || b.is_ascii_uppercase())
-        {
-            Cow::Owned(word.to_lowercase())
-        } else {
-            Cow::Borrowed(word)
-        };
-        match self.refined.get(lower.as_ref()) {
-            Some(r) => out.copy_from_slice(r),
-            None => {
-                out.fill(0.0);
-                self.hash_embed_into(&lower, out);
-            }
+        let lower = lowercase(word);
+        match self.index.get(lower.as_ref()) {
+            Some(&row) => self.embed_row_into(row, out),
+            None => self.hash_normalized_into(&lower, out),
         }
+    }
+
+    /// The refined row of `word` (case-insensitive, looked up exactly as
+    /// [`EmbeddingTable::embed_into`] does), or `None` when the word
+    /// embeds by hash. Callers that intern words once keep the row and
+    /// embed through [`EmbeddingTable::embed_row_into`].
+    pub fn row_of(&self, word: &str) -> Option<u32> {
+        self.index.get(lowercase(word).as_ref()).copied()
+    }
+
+    /// [`EmbeddingTable::embed_into`] of a word whose refined row is
+    /// `row` (from [`EmbeddingTable::row_of`]).
+    pub fn embed_row_into(&self, row: u32, out: &mut [f32]) {
+        assert_eq!(out.len(), self.dim, "embed_into buffer of wrong dim");
+        let at = row as usize * self.dim;
+        out.copy_from_slice(&self.rows[at..at + self.dim]);
+        normalize(out);
+    }
+
+    fn hash_normalized_into(&self, lower: &str, out: &mut [f32]) {
+        assert_eq!(out.len(), self.dim, "embed_into buffer of wrong dim");
+        out.fill(0.0);
+        self.hash_embed_into(lower, out);
         normalize(out);
     }
 
@@ -96,15 +110,26 @@ impl EmbeddingTable {
     ///
     /// Deterministic: iteration order is the sentence order given.
     pub fn fit(&mut self, sentences: &[Vec<String>], window: usize, iterations: usize, alpha: f32) {
-        // Initialize refined vectors for every corpus word from the hash base.
+        let dim = self.dim;
+        let mut index = std::mem::take(&mut self.index);
+        let mut rows = std::mem::take(&mut self.rows);
+        // Initialize refined vectors for every corpus word from the hash
+        // base; new words take the next rows, in corpus order, allocated
+        // at once.
+        let mut new_words: Vec<&str> = Vec::new();
         for sent in sentences {
             for w in sent {
-                if !self.refined.contains_key(w) {
-                    let v = self.hash_embed(w);
-                    self.refined.insert(w.clone(), v);
+                if !index.contains_key(w) {
+                    index.insert(w.clone(), (rows.len() / dim + new_words.len()) as u32);
+                    new_words.push(w);
                 }
             }
         }
+        rows.reserve_exact(new_words.len() * dim);
+        for w in new_words {
+            rows.extend_from_slice(&self.hash_embed(w));
+        }
+        let row = |w: &str| index[w] as usize * dim;
         for _ in 0..iterations {
             // Accumulate window means.
             let mut sums: HashMap<&str, (Vec<f32>, f32)> = HashMap::new();
@@ -116,10 +141,11 @@ impl EmbeddingTable {
                         if j == i {
                             continue;
                         }
-                        let ctx = self.refined.get(ctx_word).expect("initialized above");
+                        let at = row(ctx_word);
+                        let ctx = &rows[at..at + dim];
                         let entry = sums
                             .entry(w.as_str())
-                            .or_insert_with(|| (vec![0.0; self.dim], 0.0));
+                            .or_insert_with(|| (vec![0.0; dim], 0.0));
                         for (s, c) in entry.0.iter_mut().zip(ctx) {
                             // gced-allow(DET002): fit-time window sums accumulate in sentence order, which is pinned by the input corpus (documented above) — identical on every run and machine
                             *s += c;
@@ -130,29 +156,36 @@ impl EmbeddingTable {
                 }
             }
             // Blend each vector toward its context mean.
-            let updates: Vec<(String, Vec<f32>)> = sums
+            let updates: Vec<(usize, Vec<f32>)> = sums
                 .into_iter()
                 .filter(|(_, (_, n))| *n > 0.0)
                 .map(|(w, (sum, n))| {
-                    let cur = &self.refined[w];
-                    let mut blended: Vec<f32> = cur
+                    let at = row(w);
+                    let mut blended: Vec<f32> = rows[at..at + dim]
                         .iter()
                         .zip(&sum)
                         .map(|(c, s)| (1.0 - alpha) * c + alpha * (s / n))
                         .collect();
                     normalize(&mut blended);
-                    (w.to_string(), blended)
+                    (at, blended)
                 })
                 .collect();
-            for (w, v) in updates {
-                self.refined.insert(w, v);
+            for (at, v) in updates {
+                rows[at..at + dim].copy_from_slice(&v);
             }
         }
+        self.index = index;
+        self.rows = rows;
     }
 
     /// Number of words with refined (corpus-fitted) vectors.
     pub fn fitted_len(&self) -> usize {
-        self.refined.len()
+        self.index.len()
+    }
+
+    /// The words with refined vectors, in no particular order.
+    pub fn fitted_words(&self) -> impl Iterator<Item = &str> {
+        self.index.keys().map(String::as_str)
     }
 
     /// The construction seed.
@@ -165,9 +198,12 @@ impl EmbeddingTable {
     /// the internal `HashMap`).
     pub fn to_parts(&self) -> Vec<(String, Vec<f32>)> {
         let mut v: Vec<(String, Vec<f32>)> = self
-            .refined
+            .index
             .iter()
-            .map(|(w, vec)| (w.clone(), vec.clone()))
+            .map(|(w, &row)| {
+                let at = row as usize * self.dim;
+                (w.clone(), self.rows[at..at + self.dim].to_vec())
+            })
             .collect();
         v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         v
@@ -178,12 +214,15 @@ impl EmbeddingTable {
     /// refined vectors are restored verbatim, so every lookup is
     /// bitwise-identical to the original table's.
     pub fn from_parts(dim: usize, seed: u64, refined: Vec<(String, Vec<f32>)>) -> Self {
-        assert!(dim > 0, "embedding dim must be positive");
-        EmbeddingTable {
-            dim,
-            seed,
-            refined: refined.into_iter().collect(),
+        let mut t = EmbeddingTable::new(dim, seed);
+        t.index.reserve(refined.len());
+        t.rows.reserve(refined.len() * dim);
+        for (word, v) in refined {
+            assert_eq!(v.len(), dim, "refined vector of wrong dim");
+            t.index.insert(word, (t.rows.len() / dim) as u32);
+            t.rows.extend_from_slice(&v);
         }
+        t
     }
 
     /// Base hash embedding of a lowercased word.
@@ -226,6 +265,19 @@ impl EmbeddingTable {
                 push(&lower[lo..hi], 1.0, v);
             }
         }
+    }
+}
+
+/// `word.to_lowercase()`, borrowing already-lowercase ASCII (the hot
+/// path's pre-lowered tokens) instead of copying it.
+fn lowercase(word: &str) -> Cow<'_, str> {
+    if word
+        .bytes()
+        .any(|b| !b.is_ascii() || b.is_ascii_uppercase())
+    {
+        Cow::Owned(word.to_lowercase())
+    } else {
+        Cow::Borrowed(word)
     }
 }
 

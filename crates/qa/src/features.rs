@@ -33,6 +33,29 @@ pub struct QuestionAnalysis {
     /// defeat?"). Subject answers sit before the relation verb in
     /// declarative contexts; object answers after.
     pub wh_subject: bool,
+    /// The content words and lemmas as interned ids, when the question
+    /// was analysed through an id space ([`QuestionAnalysis::from_doc_ids`]).
+    pub ids: Option<ContentIds>,
+}
+
+/// [`QuestionAnalysis`]'s content sets as ids of an interner that maps
+/// each distinct lowercased word to one id (sorted, deduplicated), so
+/// that a document interned the same way matches by id equality.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ContentIds {
+    /// Ids of [`QuestionAnalysis::content_words`].
+    pub words: Vec<u32>,
+    /// Ids of [`QuestionAnalysis::content_lemmas`].
+    pub lemmas: Vec<u32>,
+}
+
+impl ContentIds {
+    /// True if a token with lowercase-form id `lower` and lemma id
+    /// `lemma` matches a question content word —
+    /// [`QuestionAnalysis::matches`] by id.
+    pub fn matches(&self, lower: u32, lemma: u32) -> bool {
+        self.words.binary_search(&lower).is_ok() || self.lemmas.binary_search(&lemma).is_ok()
+    }
 }
 
 impl QuestionAnalysis {
@@ -43,11 +66,23 @@ impl QuestionAnalysis {
 
     /// [`QuestionAnalysis::new`] of an already analysed question.
     pub fn from_doc(doc: &Document) -> Self {
+        Self::build(doc, None)
+    }
+
+    /// [`QuestionAnalysis::from_doc`] plus the content sets as ids:
+    /// `lower[i]` and `lemma[i]` are the interned ids of token `i`'s
+    /// lowercased form and lemma.
+    pub fn from_doc_ids(doc: &Document, lower: &[u32], lemma: &[u32]) -> Self {
+        Self::build(doc, Some((lower, lemma)))
+    }
+
+    fn build(doc: &Document, token_ids: Option<(&[u32], &[u32])>) -> Self {
         let mut content_words = HashSet::new();
         let mut content_lemmas = HashSet::new();
+        let mut ids = token_ids.map(|_| ContentIds::default());
         let mut wh = WhType::Unknown;
         let mut how_seen = false;
-        for t in &doc.tokens {
+        for (i, t) in doc.tokens.iter().enumerate() {
             let lower = t.lower();
             match lower.as_str() {
                 "who" | "whom" | "whose" => wh = WhType::Person,
@@ -61,8 +96,18 @@ impl QuestionAnalysis {
                 _ => {}
             }
             if !is_insignificant_question_word(&lower) && t.pos != Pos::Punct {
+                if let (Some(ids), Some((w, l))) = (ids.as_mut(), token_ids) {
+                    ids.words.push(w[i]);
+                    ids.lemmas.push(l[i]);
+                }
                 content_words.insert(lower);
                 content_lemmas.insert(t.lemma.clone());
+            }
+        }
+        if let Some(ids) = ids.as_mut() {
+            for v in [&mut ids.words, &mut ids.lemmas] {
+                v.sort_unstable();
+                v.dedup();
             }
         }
         // Subject detection: scanning right from the wh-word, a main verb
@@ -85,6 +130,7 @@ impl QuestionAnalysis {
             content_lemmas,
             wh,
             wh_subject,
+            ids,
         }
     }
 

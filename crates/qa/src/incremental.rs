@@ -127,7 +127,80 @@ impl SelectionScoreCache {
         Self::default()
     }
 
-    /// (Re)build the per-token tables for one (question, document) pair.
+    /// A cache bound to `doc` through interned ids: `lower[i]` and
+    /// `lemma[i]` are the ids of token `i`'s lowercased form and lemma in
+    /// the id space of `q.ids` ([`QuestionAnalysis::from_doc_ids`]), and
+    /// `idf[id]` is the IDF of the word with id `id` (ids past its end
+    /// take the unseen-word default 2.0). The tables equal the ones the
+    /// string-keyed set-up of [`SelectionScoreCache::new`] builds, with
+    /// no string hashing.
+    ///
+    /// # Panics
+    /// If `q` carries no ids.
+    pub fn for_ids(
+        q: &QuestionAnalysis,
+        doc: &Document,
+        lower: &[u32],
+        lemma: &[u32],
+        idf: &[f64],
+    ) -> Self {
+        let ids = q.ids.as_ref().expect("question analysed without ids");
+        let n = doc.len();
+        debug_assert!(lower.len() == n && lemma.len() == n);
+        let mut cache = SelectionScoreCache {
+            doc_len: n,
+            total_content: q.content_lemmas.len(),
+            clue: Vec::with_capacity(n),
+            verb_clue: Vec::with_capacity(n),
+            cov_lemma: Vec::with_capacity(n),
+            matched_lemma: Vec::with_capacity(n),
+            idf_val: Vec::with_capacity(n),
+            ..Self::default()
+        };
+        // Dense lemma numbers in order of first occurrence, as `init`
+        // assigns them; the lists stay as short as the question.
+        let mut cov_ids: Vec<u32> = Vec::new();
+        let mut matched_ids: Vec<u32> = Vec::new();
+        let dense = |seen: &mut Vec<u32>, id: u32| match seen.iter().position(|&x| x == id) {
+            Some(k) => k as u32,
+            None => {
+                seen.push(id);
+                seen.len() as u32 - 1
+            }
+        };
+        for (i, t) in doc.tokens.iter().enumerate() {
+            let (w, l) = (lower[i], lemma[i]);
+            let matched = ids.matches(w, l);
+            cache.clue.push(matched);
+            cache
+                .verb_clue
+                .push(matched && t.pos == gced_text::Pos::Verb);
+            cache
+                .cov_lemma
+                .push(if ids.lemmas.binary_search(&l).is_ok() {
+                    dense(&mut cov_ids, l)
+                } else {
+                    NONE
+                });
+            cache.matched_lemma.push(if matched {
+                dense(&mut matched_ids, l)
+            } else {
+                NONE
+            });
+            cache
+                .idf_val
+                .push(idf.get(w as usize).copied().unwrap_or(2.0));
+        }
+        cache.n_matched = matched_ids.len();
+        cache.seen_stamp = vec![0; cov_ids.len().max(cache.n_matched)];
+        cache.init = true;
+        cache
+    }
+
+    /// (Re)build the per-token tables for one (question, document) pair
+    /// from the token strings — the set-up of a cache made by
+    /// [`SelectionScoreCache::new`], and the oracle of
+    /// [`SelectionScoreCache::for_ids`].
     fn init(&mut self, qa: &QaModel, q: &QuestionAnalysis, doc: &Document) {
         let n = doc.len();
         self.doc_len = n;
@@ -192,9 +265,58 @@ impl QaModel {
         question: &str,
         cache: &mut SelectionScoreCache,
     ) -> Prediction {
-        if self.profile().noise != 0.0 || selected.len() > self.profile().window {
+        if self.bypasses_cache(selected) {
             return self.predict_selection(q, doc, selected, question, &mut cache.fallback);
         }
+        let Some(((s, e), score)) = self.best_cached_span(q, doc, selected, cache) else {
+            return Prediction::none();
+        };
+        cache.winner_tokens.clear();
+        cache
+            .winner_tokens
+            .extend(selected[s..e].iter().map(|&t| doc.tokens[t].clone()));
+        Prediction {
+            text: join_tokens(&cache.winner_tokens),
+            score,
+            span: Some((s, e)),
+        }
+    }
+
+    /// The span of [`QaModel::predict_selection_cached`]'s prediction
+    /// (view coordinates: the answer is `selected[s..e]`), without
+    /// building its text — for callers that score the span themselves.
+    pub fn predict_selection_span_cached(
+        &self,
+        q: &QuestionAnalysis,
+        doc: &Document,
+        selected: &[usize],
+        question: &str,
+        cache: &mut SelectionScoreCache,
+    ) -> Option<(usize, usize)> {
+        if self.bypasses_cache(selected) {
+            return self
+                .predict_selection(q, doc, selected, question, &mut cache.fallback)
+                .span;
+        }
+        self.best_cached_span(q, doc, selected, cache)
+            .map(|(span, _)| span)
+    }
+
+    /// Where the per-run factorization does not hold: score noise
+    /// perturbs spans by view-global coordinates, and window truncation
+    /// cuts runs mid-sentence.
+    fn bypasses_cache(&self, selected: &[usize]) -> bool {
+        self.profile().noise != 0.0 || selected.len() > self.profile().window
+    }
+
+    /// The cached prediction's span and score (`None` = abstain).
+    fn best_cached_span(
+        &self,
+        q: &QuestionAnalysis,
+        doc: &Document,
+        selected: &[usize],
+        cache: &mut SelectionScoreCache,
+    ) -> Option<((usize, usize), f64)> {
         if !cache.init {
             cache.init(self, q, doc);
         }
@@ -234,7 +356,7 @@ impl QaModel {
             present.min(cache.total_content) as f64 / cache.total_content as f64
         };
         if coverage < self.threshold() {
-            return Prediction::none();
+            return None;
         }
 
         // ---- clue layout per run (view coordinates) ---------------------
@@ -343,21 +465,9 @@ impl QaModel {
                 _ => best = Some((r, rel, rb.score)),
             }
         }
-        let Some((r, (rs, re), score)) = best else {
-            return Prediction::none();
-        };
+        let (r, (rs, re), score) = best?;
         let run_start = cache.run_refs[r].start;
-        cache.winner_tokens.clear();
-        cache.winner_tokens.extend(
-            selected[run_start + rs as usize..run_start + re as usize]
-                .iter()
-                .map(|&t| doc.tokens[t].clone()),
-        );
-        Prediction {
-            text: join_tokens(&cache.winner_tokens),
-            score,
-            span: Some((run_start + rs as usize, run_start + re as usize)),
-        }
+        Some(((run_start + rs as usize, run_start + re as usize), score))
     }
 }
 
@@ -608,6 +718,7 @@ mod tests {
     use super::*;
     use crate::{ModelProfile, QaModel};
     use gced_text::analyze;
+    use std::collections::HashMap;
 
     fn trained(kind: gced_datasets::DatasetKind, seed: u64) -> QaModel {
         let ds = gced_datasets::generate(
@@ -714,6 +825,92 @@ mod tests {
             }
         }
         assert_bitwise_equal(&qa, &q, &doc, question, &selections);
+    }
+
+    /// Interns words in first-seen order (the pipeline's table interns
+    /// in sorted order; any injective numbering must give equal tables).
+    fn intern(ids: &mut HashMap<String, u32>, words: &mut Vec<String>, w: &str) -> u32 {
+        if let Some(&id) = ids.get(w) {
+            return id;
+        }
+        let id = words.len() as u32;
+        ids.insert(w.to_string(), id);
+        words.push(w.to_string());
+        id
+    }
+
+    fn intern_doc(
+        ids: &mut HashMap<String, u32>,
+        words: &mut Vec<String>,
+        doc: &Document,
+    ) -> (Vec<u32>, Vec<u32>) {
+        doc.tokens
+            .iter()
+            .map(|t| (intern(ids, words, &t.lower()), intern(ids, words, &t.lemma)))
+            .unzip()
+    }
+
+    #[test]
+    fn id_tables_and_predictions_equal_the_string_ones() {
+        let qa = trained(gced_datasets::DatasetKind::Squad11, 11);
+        let cases = [
+            (
+                "Which team defeated the Panthers?",
+                "The Denver Broncos defeated the Carolina Panthers. Defeats defeat DEFEATED teams. \
+                 The team's coach didn't agree.",
+            ),
+            (
+                "Who visited Zanzibar and the \u{212a}elvin lab?",
+                "Zanzibar ZANZIBAR zanzibar was visited. The kelvin \u{212a}elvin KELVIN lab. \
+                 İstanbul i̇stanbul ſun sun. Qwxyz visited qwxyz.",
+            ),
+            ("?", "Nothing matches here at all."),
+            ("Where is the xyzzy plugh?", "The plugh is in the xyzzy. Xyzzy plugh xyzzy."),
+        ];
+        let mut rng = Lcg(77);
+        for (question, context) in cases {
+            let mut ids = HashMap::new();
+            let mut words = Vec::new();
+            let qdoc = analyze(question);
+            let doc = analyze(context);
+            let (ql, qm) = intern_doc(&mut ids, &mut words, &qdoc);
+            let (dl, dm) = intern_doc(&mut ids, &mut words, &doc);
+            let q = QuestionAnalysis::from_doc_ids(&qdoc, &ql, &qm);
+            // IDF by id; trailing ids without an IDF stay past the end.
+            let mut idf: Vec<f64> = words
+                .iter()
+                .map(|w| qa.idf.get(w).copied().unwrap_or(2.0))
+                .collect();
+            while words.len() > 1 && idf.len() > 1 && !qa.idf.contains_key(&words[idf.len() - 1]) {
+                idf.pop();
+            }
+            let mut by_str = SelectionScoreCache::new();
+            by_str.init(&qa, &q, &doc);
+            let mut by_id = SelectionScoreCache::for_ids(&q, &doc, &dl, &dm, &idf);
+            assert_eq!(by_id.clue, by_str.clue, "{context:?}");
+            assert_eq!(by_id.verb_clue, by_str.verb_clue);
+            assert_eq!(by_id.cov_lemma, by_str.cov_lemma);
+            assert_eq!(by_id.matched_lemma, by_str.matched_lemma);
+            assert_eq!(by_id.n_matched, by_str.n_matched);
+            assert_eq!(by_id.total_content, by_str.total_content);
+            assert_eq!(by_id.seen_stamp.len(), by_str.seen_stamp.len());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&by_id.idf_val), bits(&by_str.idf_val));
+            let n = doc.len();
+            let mut selections: Vec<Vec<usize>> = vec![(0..n).collect()];
+            for _ in 0..20 {
+                selections.push((0..n).filter(|_| !rng.next().is_multiple_of(3)).collect());
+            }
+            for sel in &selections {
+                let a = qa.predict_selection_cached(&q, &doc, sel, question, &mut by_str);
+                let b = qa.predict_selection_cached(&q, &doc, sel, question, &mut by_id);
+                assert_eq!(a.text, b.text, "{sel:?}");
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
+                assert_eq!(a.span, b.span);
+                let span = qa.predict_selection_span_cached(&q, &doc, sel, question, &mut by_id);
+                assert_eq!(span, a.span);
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,6 @@ pub mod incremental;
 pub mod model;
 pub mod zoo;
 
-pub use features::{QuestionAnalysis, WhType};
+pub use features::{ContentIds, QuestionAnalysis, WhType};
 pub use incremental::SelectionScoreCache;
 pub use model::{EvalResult, ModelProfile, Prediction, QaModel, SelectionScratch};
