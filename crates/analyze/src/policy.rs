@@ -79,9 +79,9 @@ pub fn is_test_path(path: &str) -> bool {
 /// (`to_parts`/`idf_parts`) layers that feed the artifact encoder, the
 /// CKY chart and grammar tables (the order candidates are visited in
 /// decides exact-score ties, which pick the parse tree and so reach the
-/// evidence bytes), and the fitted id table (ids are assigned in sorted
-/// word order; hash-order ids would reach the lemma numbering of the QA
-/// span cache and every fitted-state pin).
+/// evidence bytes), and the fitted id table and the word table under it
+/// (ids are assigned in sorted word order; hash-order ids would reach the
+/// lemma numbering of the QA span cache and every fitted-state pin).
 pub fn det001_in_scope(path: &str) -> bool {
     const SCOPE: &[&str] = &[
         "crates/serve/src/wire.rs",
@@ -89,6 +89,7 @@ pub fn det001_in_scope(path: &str) -> bool {
         "crates/serve/src/metrics.rs",
         "crates/core/src/cache.rs",
         "crates/core/src/ids.rs",
+        "crates/text/src/words.rs",
         "crates/datasets/src/json.rs",
         "crates/eval/src/shard.rs",
         "crates/eval/src/tables.rs",

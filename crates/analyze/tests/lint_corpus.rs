@@ -93,6 +93,29 @@ const CORPUS: &[Case] = &[
                    }\n",
     },
     Case {
+        // The word table under the id table: its words, lemma forms
+        // included, are numbered in sorted order, never in the order a
+        // hash set yields them.
+        lint: "DET001",
+        path: "crates/text/src/words.rs",
+        positive: "use std::collections::HashSet;\n\
+                   fn number(forms: &HashSet<String>) -> Vec<String> {\n\
+                       let mut table = Vec::new();\n\
+                       for w in forms.iter() {\n\
+                           table.push(w.clone());\n\
+                       }\n\
+                       table\n\
+                   }\n",
+        negative: "use std::collections::BTreeSet;\n\
+                   fn number(forms: &BTreeSet<String>) -> Vec<String> {\n\
+                       let mut table = Vec::new();\n\
+                       for w in forms.iter() {\n\
+                           table.push(w.clone());\n\
+                       }\n\
+                       table\n\
+                   }\n",
+    },
+    Case {
         // Third DET001 site: the CKY chart. Which of two exactly tied
         // candidates a cell keeps picks the parse tree, and the tree
         // reaches the evidence bytes, so cells are walked in slot order.

@@ -167,6 +167,12 @@ fn bench_pipeline(c: &mut Criterion) {
     let gced = Gced::fit(&ds, GcedConfig::default());
     let question = "Which NFL team represented the AFC at Super Bowl 50?";
 
+    // text/analyze_context's input analysed against the fitted
+    // vocabulary, with its ids, as a distillation analyses its context.
+    c.bench_function("text/analyze_context_fitted", |b| {
+        b.iter(|| gced.id_table().request().analyze(black_box(CONTEXT)))
+    });
+
     c.bench_function("gced/distill_end_to_end", |b| {
         b.iter_batched(
             || (),

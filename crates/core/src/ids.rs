@@ -6,20 +6,24 @@
 //! (Sec. III-C), the LM's word ids (Eq. 4), the refined embedding rows
 //! (Sec. III-D). [`IdTable`] is built once per pipeline from the fitted
 //! parts — the LM vocabulary, the QA IDF words, the refined embedding
-//! words and the lexicon words — with ids assigned in sorted word order,
-//! and carries per id:
+//! words and the lexicon words, plus the lemma forms their analysis
+//! reaches — with ids assigned in sorted word order, and carries per id:
 //!
+//! * its tag data and lemma ids ([`gced_text::WordTable`]);
 //! * its IDF (the unseen-word default 2.0 when training never saw it);
 //! * its LM [`WordId`] ([`UNK`] when outside the LM vocabulary);
 //! * its refined embedding row, if any;
 //! * its QWS related closure (the word, its synonyms, antonyms and
 //!   hypernym siblings) as a sorted id list, for lexicon words.
 //!
-//! A distillation interns each analysed token once ([`RequestIds`]):
-//! its lowercased form and its lemma each map to an id. Words outside
-//! the table get request-local ids past the fitted range, so id equality
-//! is string equality for every word of the request, and every lookup
-//! after that is an array index. The table is derived from the fitted
+//! A distillation analyses each text against the table once
+//! ([`RequestIds::analyze`]): one probe per token gives the id of its
+//! lowercased form, its tag data and its lemma's id. Words outside the
+//! table get request-local ids past the fitted range, so id equality is
+//! string equality for every word of the request, and every lookup after
+//! that is an array index. A lemma form no fitted part knows holds the
+//! payloads of an unseen word (IDF 2.0, [`UNK`], no row, no closure), as
+//! its request-local id would. The table is derived from the fitted
 //! parts, so the fit-cache artifact does not carry it.
 
 use gced_lexicon::Lexicon;
@@ -27,112 +31,16 @@ use gced_lm::TrigramLm;
 use gced_nn::EmbeddingTable;
 use gced_qa::QaModel;
 use gced_text::vocab::{WordId, UNK};
-use gced_text::Document;
-use std::collections::HashMap;
+pub use gced_text::DocIds;
+use gced_text::{Document, WordIds, WordTable};
 
 /// No refined embedding row.
 const NO_ROW: u32 = u32::MAX;
 
-/// A frozen open-addressing string table over one byte arena: word `k`
-/// of the build list has id `k`, and a lookup is one hash and (usually)
-/// one comparison. Its hash is fixed, not keyed: only fitted words are
-/// ever inserted, so request input can choose which probe chains a
-/// lookup walks but never lengthen one.
-#[derive(Debug, Clone)]
-struct Interner {
-    arena: String,
-    /// Arena byte range of each word, in id order.
-    spans: Vec<(u32, u32)>,
-    /// Probe table: `0` is empty, otherwise the word's hash in the high
-    /// 32 bits and `id + 1` in the low 32, so a probe compares words
-    /// only on a full hash match. At most half full.
-    slots: Vec<u64>,
-}
-
-impl Interner {
-    /// The table of `words`, which must be distinct.
-    fn build(words: &[&str]) -> Self {
-        let mut t = Interner {
-            arena: String::with_capacity(words.iter().map(|w| w.len()).sum()),
-            spans: Vec::with_capacity(words.len()),
-            slots: vec![0; (2 * words.len()).next_power_of_two().max(16)],
-        };
-        for (k, w) in words.iter().enumerate() {
-            let h = hash(w.as_bytes());
-            let at = t.probe(w, h);
-            debug_assert_eq!(t.slots[at], 0, "duplicate word {w:?}");
-            t.slots[at] = (h >> 32) << 32 | (k as u64 + 1);
-            let start = t.arena.len() as u32;
-            t.arena.push_str(w);
-            t.spans.push((start, t.arena.len() as u32));
-        }
-        t
-    }
-
-    fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    #[cfg(test)]
-    fn word(&self, k: usize) -> &str {
-        let (lo, hi) = self.spans[k];
-        &self.arena[lo as usize..hi as usize]
-    }
-
-    /// Slot holding `word` (of hash `h`), or the empty slot where it
-    /// would go.
-    fn probe(&self, word: &str, h: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let tag = h >> 32;
-        let mut i = h as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s == 0
-                || s >> 32 == tag && {
-                    let (lo, hi) = self.spans[(s as u32 - 1) as usize];
-                    &self.arena.as_bytes()[lo as usize..hi as usize] == word.as_bytes()
-                }
-            {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn get(&self, word: &str) -> Option<u32> {
-        match self.slots[self.probe(word, hash(word.as_bytes()))] {
-            0 => None,
-            s => Some(s as u32 - 1),
-        }
-    }
-}
-
-/// A fixed multiplicative byte hash (FxHash's mixing step over 8-byte
-/// words, then MurmurHash3's 64-bit finalizer, without which the low
-/// bits that pick the slot would see little more than a short word's
-/// first letter): the interner never iterates its slots into output, so
-/// only speed and spread matter.
-fn hash(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
-    let mut h = 0u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = mix(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-    }
-    let rest = chunks.remainder();
-    let mut last = [0u8; 8];
-    last[..rest.len()].copy_from_slice(rest);
-    let mut h = mix(mix(h, u64::from_le_bytes(last)), bytes.len() as u64);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^ h >> 33
-}
-
 /// The fitted id table of one pipeline (see the module docs).
 #[derive(Debug, Clone)]
 pub struct IdTable {
-    words: Interner,
+    words: WordTable,
     idf: Vec<f64>,
     lm: Vec<WordId>,
     emb_row: Vec<u32>,
@@ -147,17 +55,15 @@ impl IdTable {
     pub fn build(qa: &QaModel, lm: &TrigramLm, emb: &EmbeddingTable, lexicon: &Lexicon) -> Self {
         let idf_parts = qa.idf_parts();
         let lexicon_words = lexicon.words();
-        let mut all: Vec<&str> = lm
-            .vocab()
-            .iter()
-            .map(|(_, w, _)| w)
-            .chain(idf_parts.iter().map(|(w, _)| w.as_str()))
-            .chain(emb.fitted_words())
-            .chain(lexicon_words.iter().copied())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        let words = Interner::build(&all);
+        let words = WordTable::new(
+            lm.vocab()
+                .iter()
+                .map(|(_, w, _)| w)
+                .chain(idf_parts.iter().map(|(w, _)| w.as_str()))
+                .chain(emb.fitted_words())
+                .chain(lexicon_words.iter().copied()),
+        );
+        let all: Vec<&str> = (0..words.len() as u32).map(|k| words.word(k)).collect();
         let id_of = |w: &str| words.get(w).expect("closure words are lexicon words") as usize;
         let mut idf = vec![2.0; all.len()];
         for (w, x) in &idf_parts {
@@ -201,6 +107,7 @@ impl IdTable {
     }
 
     /// The fitted id of `word`, if any.
+    #[cfg(test)]
     fn get(&self, word: &str) -> Option<u32> {
         self.words.get(word)
     }
@@ -248,31 +155,8 @@ impl IdTable {
     pub fn request(&self) -> RequestIds<'_> {
         RequestIds {
             table: self,
-            local: HashMap::new(),
+            words: WordIds::new(&self.words),
         }
-    }
-}
-
-/// Interned ids of one analysed document's tokens.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DocIds {
-    /// Id of each token's lowercased surface form.
-    pub lower: Vec<u32>,
-    /// Id of each token's lemma.
-    pub lemma: Vec<u32>,
-}
-
-impl DocIds {
-    /// The ids of the document [`Document::project_sentences`] builds
-    /// from `sentences` of `doc` (whose ids these are).
-    pub fn project_sentences(&self, doc: &Document, sentences: &[usize]) -> DocIds {
-        let mut out = DocIds::default();
-        for &s in sentences {
-            let r = doc.sentences[s].token_start..doc.sentences[s].token_end;
-            out.lower.extend_from_slice(&self.lower[r.clone()]);
-            out.lemma.extend_from_slice(&self.lemma[r]);
-        }
-        out
     }
 }
 
@@ -281,9 +165,7 @@ impl DocIds {
 #[derive(Debug, Clone)]
 pub struct RequestIds<'t> {
     table: &'t IdTable,
-    /// Words outside the table (request input, so the map keeps std's
-    /// keyed hasher) and their ids, numbered from `table.len()`.
-    local: HashMap<String, u32>,
+    words: WordIds<'t>,
 }
 
 impl<'t> RequestIds<'t> {
@@ -294,55 +176,19 @@ impl<'t> RequestIds<'t> {
 
     /// The id of `word`: its fitted id, or a request-local one.
     pub fn id(&mut self, word: &str) -> u32 {
-        if let Some(id) = self
-            .table
-            .get(word)
-            .or_else(|| self.local.get(word).copied())
-        {
-            return id;
-        }
-        let id = (self.table.len() + self.local.len()) as u32;
-        self.local.insert(word.to_string(), id);
-        id
+        self.words.id(word)
     }
 
-    /// Intern every token of `doc`: its lowercased form, and its lemma
-    /// (the same id when the lemma is the lowercased form).
+    /// Analyse `text` against the fitted table, interning its tokens
+    /// ([`WordIds::analyze`]).
+    pub fn analyze(&mut self, text: &str) -> (Document, DocIds) {
+        self.words.analyze(text)
+    }
+
+    /// Intern every token of an analysed `doc`: the string oracle of
+    /// [`RequestIds::analyze`]'s ids.
     pub fn intern(&mut self, doc: &Document) -> DocIds {
-        let mut ids = DocIds {
-            lower: Vec::with_capacity(doc.len()),
-            lemma: Vec::with_capacity(doc.len()),
-        };
-        // Lowercased forms go through one reused buffer; ASCII (nearly
-        // every token) lowercases in place, as `to_lowercase` would.
-        let mut buf = String::new();
-        for t in &doc.tokens {
-            let text = t.text.as_str();
-            let lower = if !text
-                .bytes()
-                .any(|b| b.is_ascii_uppercase() || !b.is_ascii())
-            {
-                text
-            } else {
-                buf.clear();
-                if text.is_ascii() {
-                    buf.push_str(text);
-                    buf.make_ascii_lowercase();
-                } else {
-                    buf.push_str(&text.to_lowercase());
-                }
-                buf.as_str()
-            };
-            let w = self.id(lower);
-            let l = if t.lemma == lower {
-                w
-            } else {
-                self.id(&t.lemma)
-            };
-            ids.lower.push(w);
-            ids.lemma.push(l);
-        }
-        ids
+        self.words.intern(doc)
     }
 }
 
@@ -368,7 +214,7 @@ mod tests {
     #[test]
     fn ids_follow_sorted_word_order() {
         let (t, lm, emb, lexicon) = table();
-        let words: Vec<&str> = (0..t.len()).map(|i| t.words.word(i)).collect();
+        let words: Vec<&str> = (0..t.len()).map(|i| t.words.word(i as u32)).collect();
         assert!(words.windows(2).all(|w| w[0] < w[1]), "not sorted");
         for (i, w) in words.iter().enumerate() {
             assert_eq!(t.get(w), Some(i as u32));
@@ -377,13 +223,22 @@ mod tests {
         }
         assert!(t.get("broncos").is_some() && t.get("defeat").is_some());
         assert_eq!(t.get("zzyzx"), None);
-        assert_eq!(t.len(), {
-            let mut all: Vec<String> = lexicon.words().iter().map(|w| w.to_string()).collect();
-            all.extend(lm.vocab().iter().map(|(_, w, _)| w.to_string()));
-            all.sort();
-            all.dedup();
-            all.len()
-        });
+        // The fitted words, and lemma forms with unseen-word payloads.
+        let fitted: std::collections::BTreeSet<&str> = lexicon
+            .words()
+            .into_iter()
+            .chain(lm.vocab().iter().map(|(_, w, _)| w))
+            .collect();
+        assert!(fitted.iter().all(|w| t.get(w).is_some()));
+        for (i, w) in words
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| !fitted.contains(*w))
+        {
+            assert_eq!((t.lm_id(i as u32), t.emb_row(i as u32)), (UNK, None), "{w}");
+            assert_eq!((t.idf()[i], t.related(i as u32)), (2.0, None), "{w}");
+        }
+        assert!(words.len() > fitted.len());
     }
 
     #[test]
@@ -394,14 +249,14 @@ mod tests {
             let mut want: Vec<&str> = lexicon
                 .related(w)
                 .iter()
-                .map(|r| t.words.word(t.get(r).unwrap() as usize))
+                .map(|r| t.words.word(t.get(r).unwrap()))
                 .collect();
             want.sort_unstable();
             let got: Vec<&str> = t
                 .related(id)
                 .unwrap()
                 .iter()
-                .map(|&r| t.words.word(r as usize))
+                .map(|&r| t.words.word(r))
                 .collect();
             assert_eq!(got, want, "{w}");
         }

@@ -253,6 +253,11 @@ impl Gced {
         doc.sentences.len()
     }
 
+    /// The fitted id table every distillation analyses against.
+    pub fn id_table(&self) -> &IdTable {
+        &self.ids
+    }
+
     /// The internal PLM-substitute QA model.
     pub fn qa_model(&self) -> &QaModel {
         &self.qa
@@ -328,9 +333,7 @@ impl Gced {
         let mut ids = self.ids.request();
         let (ctx_doc, ctx_ids) = {
             let _s = gced_obs::span("analyze");
-            let doc = analyze(context);
-            let doc_ids = ids.intern(&doc);
-            (doc, doc_ids)
+            ids.analyze(context)
         };
         if ctx_doc.is_empty() {
             return Err(DistillError::EmptyContext);
@@ -381,9 +384,7 @@ impl Gced {
             };
             let (doc, doc_ids) = projected.unwrap_or_else(|| {
                 let _s = gced_obs::span("analyze");
-                let doc = analyze(&text);
-                let doc_ids = ids.intern(&doc);
-                (doc, doc_ids)
+                ids.analyze(&text)
             });
             trace.ase = Some(r);
             (text, Some((doc, doc_ids)))
@@ -406,7 +407,7 @@ impl Gced {
         };
         trace.answer_words = answer_tokens
             .iter()
-            .map(|&i| aos.tokens[i].text.clone())
+            .map(|&i| aos.tokens[i].text.to_string())
             .collect();
 
         // ---- QWS -----------------------------------------------------------
@@ -425,7 +426,7 @@ impl Gced {
             trace.clue_words = r
                 .clue_tokens
                 .iter()
-                .map(|&i| aos.tokens[i].text.clone())
+                .map(|&i| aos.tokens[i].text.to_string())
                 .collect();
             r.clue_tokens
         } else {
@@ -615,7 +616,7 @@ impl Gced {
         let scores = precomputed.unwrap_or_else(|| scorer.score_selection(aos, &te));
         let ctx_words = ctx_doc.len().max(1);
         Distillation {
-            evidence_tokens: tokens.iter().map(|t| t.text.clone()).collect(),
+            evidence_tokens: tokens.iter().map(|t| t.text.to_string()).collect(),
             evidence,
             scores,
             aos_text: aos_text.to_string(),
@@ -630,7 +631,7 @@ impl Gced {
 /// may be a predicted string that only partially overlaps the context).
 /// Words compare by interned id; equal to [`reference::locate_answer`].
 fn locate_answer(ids: &mut RequestIds<'_>, aos_ids: &DocIds, answer: &str) -> Vec<usize> {
-    let answer_ids = ids.intern(&analyze(answer)).lower;
+    let answer_ids = ids.analyze(answer).1.lower;
     let n = answer_ids.len();
     if n > 0 {
         if let Some(s) = aos_ids.lower.windows(n).position(|w| w == answer_ids) {

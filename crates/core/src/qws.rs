@@ -134,7 +134,7 @@ pub mod reference {
             .iter()
             .filter(|t| t.pos.is_open_class())
             .filter(|t| !excluded.contains(&t.index))
-            .filter(|t| expansion.contains(&*t.lower_cow()) || expansion.contains(&t.lemma))
+            .filter(|t| expansion.contains(&*t.lower_cow()) || expansion.contains(t.lemma.as_str()))
             .map(|t| t.index)
             .collect();
         QwsResult {
@@ -186,7 +186,7 @@ mod tests {
         let r = select_embedded(question, &aos, &[]);
         r.clue_tokens
             .iter()
-            .map(|&i| aos.tokens[i].text.clone())
+            .map(|&i| aos.tokens[i].text.to_string())
             .collect()
     }
 

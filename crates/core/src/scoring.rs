@@ -110,8 +110,7 @@ impl<'a> EvidenceScorer<'a> {
         ppl_ref: f64,
         weights: (f64, f64, f64),
     ) -> Self {
-        let question_doc = gced_text::analyze(question);
-        let question_ids = ids.intern(&question_doc);
+        let (question_doc, question_ids) = ids.analyze(question);
         let q_analysis =
             QuestionAnalysis::from_doc_ids(&question_doc, &question_ids.lower, &question_ids.lemma);
         let answer_len = answer.split_whitespace().count();

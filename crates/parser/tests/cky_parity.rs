@@ -165,8 +165,8 @@ fn tokens(tags: &[Pos]) -> Vec<Token> {
     tags.iter()
         .enumerate()
         .map(|(i, &pos)| Token {
-            text: format!("w{i}"),
-            lemma: format!("w{i}"),
+            text: format!("w{i}").into(),
+            lemma: format!("w{i}").into(),
             pos,
             index: i,
             sent: 0,

@@ -1,7 +1,8 @@
 //! Question analysis and span feature extraction.
 
-use gced_text::{is_insignificant_question_word, Document, Pos};
+use gced_text::{is_insignificant_question_word, Document, Pos, TokenStr};
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Expected answer type, derived from the question's wh-word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,10 +23,13 @@ pub enum WhType {
 /// context (and across ASE's repeated sentence-subset predictions).
 #[derive(Debug, Clone)]
 pub struct QuestionAnalysis {
-    /// Lowercased content words of the question (QWS-style filter).
-    pub content_words: HashSet<String>,
-    /// Lemmas of the content words.
-    pub content_lemmas: HashSet<String>,
+    /// Lowercased form and lemma of each content word (QWS-style filter),
+    /// in question order.
+    content: Vec<(TokenStr, TokenStr)>,
+    /// [`QuestionAnalysis::content_words`] and
+    /// [`QuestionAnalysis::content_lemmas`], built on first use: only the
+    /// string-keyed scorers read them.
+    sets: OnceLock<(HashSet<String>, HashSet<String>)>,
     /// Expected answer type.
     pub wh: WhType,
     /// True when the wh-phrase is the grammatical subject ("Which team
@@ -43,7 +47,8 @@ pub struct QuestionAnalysis {
 /// that a document interned the same way matches by id equality.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContentIds {
-    /// Ids of [`QuestionAnalysis::content_words`].
+    /// Ids of [`QuestionAnalysis::content_words`]; the distinct ids are
+    /// the distinct words.
     pub words: Vec<u32>,
     /// Ids of [`QuestionAnalysis::content_lemmas`].
     pub lemmas: Vec<u32>,
@@ -77,14 +82,13 @@ impl QuestionAnalysis {
     }
 
     fn build(doc: &Document, token_ids: Option<(&[u32], &[u32])>) -> Self {
-        let mut content_words = HashSet::new();
-        let mut content_lemmas = HashSet::new();
+        let mut content = Vec::with_capacity(doc.len());
         let mut ids = token_ids.map(|_| ContentIds::default());
         let mut wh = WhType::Unknown;
         let mut how_seen = false;
         for (i, t) in doc.tokens.iter().enumerate() {
-            let lower = t.lower();
-            match lower.as_str() {
+            let lower = t.lower_cow();
+            match &*lower {
                 "who" | "whom" | "whose" => wh = WhType::Person,
                 "where" => wh = WhType::Place,
                 "when" => wh = WhType::Number,
@@ -100,8 +104,7 @@ impl QuestionAnalysis {
                     ids.words.push(w[i]);
                     ids.lemmas.push(l[i]);
                 }
-                content_words.insert(lower);
-                content_lemmas.insert(t.lemma.clone());
+                content.push((TokenStr::from(lower.as_ref()), t.lemma.clone()));
             }
         }
         if let Some(ids) = ids.as_mut() {
@@ -126,18 +129,36 @@ impl QuestionAnalysis {
             }
         }
         QuestionAnalysis {
-            content_words,
-            content_lemmas,
+            content,
+            sets: OnceLock::new(),
             wh,
             wh_subject,
             ids,
         }
     }
 
+    fn sets(&self) -> &(HashSet<String>, HashSet<String>) {
+        self.sets.get_or_init(|| {
+            let words = self.content.iter().map(|(w, _)| w.to_string()).collect();
+            let lemmas = self.content.iter().map(|(_, l)| l.to_string()).collect();
+            (words, lemmas)
+        })
+    }
+
+    /// Lowercased content words of the question (QWS-style filter).
+    pub fn content_words(&self) -> &HashSet<String> {
+        &self.sets().0
+    }
+
+    /// Lemmas of the content words.
+    pub fn content_lemmas(&self) -> &HashSet<String> {
+        &self.sets().1
+    }
+
     /// True if a (lowercased word, lemma) pair matches a question
     /// content word.
     pub fn matches(&self, lower: &str, lemma: &str) -> bool {
-        self.content_words.contains(lower) || self.content_lemmas.contains(lemma)
+        self.content_words().contains(lower) || self.content_lemmas().contains(lemma)
     }
 }
 
@@ -203,17 +224,17 @@ pub fn base_features(
 /// scorer computes it once per sentence instead of once per candidate
 /// span.
 pub fn sentence_clue_coverage(doc: &Document, sent: usize, q: &QuestionAnalysis) -> f64 {
-    if q.content_lemmas.is_empty() {
+    if q.content_lemmas().is_empty() {
         return 0.0;
     }
     let sent_span = &doc.sentences[sent];
     let present = doc.tokens[sent_span.token_start..sent_span.token_end]
         .iter()
-        .filter(|t| q.content_lemmas.contains(&t.lemma))
+        .filter(|t| q.content_lemmas().contains(t.lemma.as_str()))
         .map(|t| t.lemma.as_str())
         .collect::<HashSet<_>>()
         .len();
-    present as f64 / q.content_lemmas.len() as f64
+    present as f64 / q.content_lemmas().len() as f64
 }
 
 /// [`base_features`] with the sentence clue coverage (f1) supplied by
@@ -414,12 +435,12 @@ mod tests {
     #[test]
     fn content_words_filtered() {
         let q = QuestionAnalysis::new("Which NFL team represented the AFC at Super Bowl 50?");
-        assert!(q.content_words.contains("nfl"));
-        assert!(q.content_words.contains("team"));
-        assert!(q.content_words.contains("represented"));
-        assert!(!q.content_words.contains("which"));
-        assert!(!q.content_words.contains("the"));
-        assert!(!q.content_words.contains("at"));
+        assert!(q.content_words().contains("nfl"));
+        assert!(q.content_words().contains("team"));
+        assert!(q.content_words().contains("represented"));
+        assert!(!q.content_words().contains("which"));
+        assert!(!q.content_words().contains("the"));
+        assert!(!q.content_words().contains("at"));
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub struct SelectionScoreCache {
     matched_lemma: Vec<u32>,
     /// Number of distinct matched-lemma ids.
     n_matched: usize,
-    /// `q.content_lemmas.len()`.
+    /// `q.content_lemmas().len()`.
     total_content: usize,
     /// token -> IDF value (feature f6 term).
     idf_val: Vec<f64>,
@@ -149,7 +149,8 @@ impl SelectionScoreCache {
         debug_assert!(lower.len() == n && lemma.len() == n);
         let mut cache = SelectionScoreCache {
             doc_len: n,
-            total_content: q.content_lemmas.len(),
+            // Distinct lemma ids are distinct lemmas.
+            total_content: ids.lemmas.len(),
             clue: Vec::with_capacity(n),
             verb_clue: Vec::with_capacity(n),
             cov_lemma: Vec::with_capacity(n),
@@ -210,7 +211,7 @@ impl SelectionScoreCache {
         self.matched_lemma.clear();
         self.idf_val.clear();
         self.runs.clear();
-        self.total_content = q.content_lemmas.len();
+        self.total_content = q.content_lemmas().len();
         let mut cov_ids: HashMap<&str, u32> = HashMap::new();
         let mut matched_ids: HashMap<&str, u32> = HashMap::new();
         for t in &doc.tokens {
@@ -219,12 +220,13 @@ impl SelectionScoreCache {
             self.clue.push(matched);
             self.verb_clue
                 .push(matched && t.pos == gced_text::Pos::Verb);
-            self.cov_lemma.push(if q.content_lemmas.contains(&t.lemma) {
-                let next = cov_ids.len() as u32;
-                *cov_ids.entry(t.lemma.as_str()).or_insert(next)
-            } else {
-                NONE
-            });
+            self.cov_lemma
+                .push(if q.content_lemmas().contains(t.lemma.as_str()) {
+                    let next = cov_ids.len() as u32;
+                    *cov_ids.entry(t.lemma.as_str()).or_insert(next)
+                } else {
+                    NONE
+                });
             self.matched_lemma.push(if matched {
                 let next = matched_ids.len() as u32;
                 *matched_ids.entry(t.lemma.as_str()).or_insert(next)

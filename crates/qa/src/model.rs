@@ -541,7 +541,7 @@ impl QaModel {
 /// signal for unanswerable questions: SQuAD-2.0 negatives ask about
 /// entities the context never mentions.
 fn question_coverage(doc: &Document, q: &QuestionAnalysis) -> f64 {
-    let total = q.content_lemmas.len();
+    let total = q.content_lemmas().len();
     if total == 0 {
         return 1.0;
     }

@@ -65,35 +65,56 @@ fn is_false_plural(word: &str) -> bool {
 }
 
 /// Verbs whose -ed/-ing form doubles a final consonant (e.g. "starred").
-fn undouble(stem: &str) -> Option<String> {
+fn undouble(stem: &str) -> Option<&str> {
     let bytes = stem.as_bytes();
     let n = bytes.len();
     if n >= 3 && bytes[n - 1] == bytes[n - 2] && !matches!(bytes[n - 1], b'l' | b's' | b'e') {
-        Some(stem[..n - 1].to_string())
+        Some(&stem[..n - 1])
     } else {
         None
     }
 }
 
-/// Lemmatize a lowercased word given its POS tag.
-pub fn lemmatize(lower: &str, pos: Pos) -> String {
-    if let Ok(i) = IRREGULAR.binary_search_by_key(&lower, |(s, _)| s) {
-        return IRREGULAR[i].1.to_string();
-    }
+/// The lemma class of a tag: lemmas depend on a word's tag only through
+/// it — noun-like (0), verb-like (1) or other (2).
+pub(crate) fn lemma_class(pos: Pos) -> usize {
     match pos {
-        Pos::Noun | Pos::ProperNoun => lemmatize_noun(lower),
-        Pos::Verb | Pos::Aux => lemmatize_verb(lower),
-        _ => lower.to_string(),
+        Pos::Noun | Pos::ProperNoun => 0,
+        Pos::Verb | Pos::Aux => 1,
+        _ => 2,
     }
 }
 
-fn lemmatize_noun(lower: &str) -> String {
+/// A tag of each lemma class, in [`lemma_class`] order.
+pub(crate) const CLASS_TAGS: [Pos; 3] = [Pos::Noun, Pos::Verb, Pos::Other];
+
+/// Lemmatize a lowercased word given its POS tag.
+pub fn lemmatize(lower: &str, pos: Pos) -> String {
+    let (stem, tail) = lemma_parts(lower, pos);
+    [stem, tail].concat()
+}
+
+/// [`lemmatize`] as a stem (the irregular lemma, or a prefix of
+/// `lower`) and a suffix to append, so callers can build the lemma
+/// without an intermediate `String`.
+pub(crate) fn lemma_parts(lower: &str, pos: Pos) -> (&str, &'static str) {
+    if let Ok(i) = IRREGULAR.binary_search_by_key(&lower, |(s, _)| s) {
+        return (IRREGULAR[i].1, "");
+    }
+    match lemma_class(pos) {
+        0 => lemmatize_noun(lower),
+        1 => lemmatize_verb(lower),
+        _ => (lower, ""),
+    }
+}
+
+fn lemmatize_noun(lower: &str) -> (&str, &'static str) {
     if is_false_plural(lower) {
-        return lower.to_string();
+        return (lower, "");
     }
     if let Some(stem) = lower.strip_suffix("ies") {
         if stem.len() >= 2 {
-            return format!("{stem}y");
+            return (stem, "y");
         }
     }
     if let Some(stem) = lower.strip_suffix("es") {
@@ -103,63 +124,55 @@ fn lemmatize_noun(lower: &str) -> String {
             || stem.ends_with('z')
             || stem.ends_with('s')
         {
-            return stem.to_string();
+            return (stem, "");
         }
     }
     if let Some(stem) = lower.strip_suffix('s') {
         if stem.len() >= 3 {
-            return stem.to_string();
+            return (stem, "");
         }
     }
-    lower.to_string()
+    (lower, "")
 }
 
-fn lemmatize_verb(lower: &str) -> String {
+fn lemmatize_verb(lower: &str) -> (&str, &'static str) {
     if let Some(stem) = lower.strip_suffix("ied") {
         if stem.len() >= 2 {
-            return format!("{stem}y");
+            return (stem, "y");
         }
     }
-    if let Some(stem) = lower.strip_suffix("ing") {
-        if stem.len() >= 3 {
-            if let Some(und) = undouble(stem) {
-                return und;
+    for suffix in ["ing", "ed"] {
+        if let Some(stem) = lower.strip_suffix(suffix) {
+            if stem.len() >= 3 {
+                if let Some(und) = undouble(stem) {
+                    return (und, "");
+                }
+                // "making" -> "make": restore dropped e when the stem ends
+                // in a consonant preceded by a single vowel-consonant
+                // pattern.
+                if needs_final_e(stem) {
+                    return (stem, "e");
+                }
+                return (stem, "");
             }
-            // "making" -> "make": restore dropped e when the stem ends in a
-            // consonant preceded by a single vowel-consonant pattern.
-            if needs_final_e(stem) {
-                return format!("{stem}e");
-            }
-            return stem.to_string();
-        }
-    }
-    if let Some(stem) = lower.strip_suffix("ed") {
-        if stem.len() >= 3 {
-            if let Some(und) = undouble(stem) {
-                return und;
-            }
-            if needs_final_e(stem) {
-                return format!("{stem}e");
-            }
-            return stem.to_string();
         }
     }
     if let Some(stem) = lower.strip_suffix("ies") {
         if stem.len() >= 2 {
-            return format!("{stem}y");
+            return (stem, "y");
         }
     }
     if let Some(stem) = lower.strip_suffix("es") {
         if stem.ends_with("sh") || stem.ends_with("ch") || stem.ends_with('x') {
-            return stem.to_string();
+            return (stem, "");
         }
     }
     if let Some(stem) = lower.strip_suffix('s') {
         if stem.len() >= 3 && !stem.ends_with('s') {
-            return stem.to_string();
+            return (stem, "");
         }
     }
-    lower.to_string()
+    (lower, "")
 }
 
 /// Heuristic: stems like "mak", "liv", "compos" need a restored final "e".

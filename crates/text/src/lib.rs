@@ -10,6 +10,17 @@
 //! string, carrying global token indices that the rest of the system (the
 //! weighted syntactic parse tree, the evidence forest, the distiller) uses
 //! as node identities — exactly the index scheme of Fig. 6 in the paper.
+//! Tokens keep their surface form and lemma in a [`TokenStr`], inline
+//! when short (nearly every word), so a document allocates no string per
+//! token.
+//!
+//! Analysis is one pass. [`analyze`] splits sentences, cuts each token
+//! without allocating, lowercases it once, tags it and lemmatizes it. A
+//! distillation runs the same pass against a fitted [`WordTable`]
+//! ([`WordIds::analyze`]): the table stores each known word's tag data
+//! and lemma ids, so one probe per token replaces the per-word rules and
+//! also gives the token's interned ids ([`DocIds`]). Plain [`analyze`] is
+//! that pass over an empty table.
 //!
 //! ```
 //! use gced_text::analyze;
@@ -27,14 +38,18 @@ pub mod stopwords;
 pub mod token;
 pub mod tokenizer;
 pub mod vocab;
+pub mod words;
 
 pub use lemma::lemmatize;
-pub use pos::{tag_tokens, Pos};
+pub use pos::Pos;
 pub use sentence::split_sentences;
 pub use stopwords::{is_insignificant_question_word, WordClass};
-pub use token::{SentId, Sentence, Token, TokenId};
+pub use token::{SentId, Sentence, Token, TokenId, TokenStr};
 pub use tokenizer::tokenize;
 pub use vocab::Vocab;
+pub use words::{DocIds, WordIds, WordTable};
+
+use std::borrow::Cow;
 
 /// A fully analysed text: raw text, tokens with POS and lemmas, and
 /// sentence boundaries. Token `index` fields are global over the document.
@@ -190,28 +205,88 @@ impl Document {
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
     }
-
-    /// Lowercased token texts — the form used for lexical matching.
-    pub fn lower_texts(&self) -> Vec<String> {
-        self.tokens.iter().map(|t| t.text.to_lowercase()).collect()
-    }
 }
 
 /// Analyse raw text end to end: sentence split, tokenize, POS-tag,
 /// lemmatize. The output token indices are global and dense.
 pub fn analyze(text: &str) -> Document {
+    analysis(text, None).0
+}
+
+/// Longest token (in bytes) lowercased into a stack buffer; longer ones
+/// lowercase onto the heap.
+const LOWER_BUF: usize = 64;
+
+/// The analysis pass behind [`analyze`] (`ids` = `None`: an empty table,
+/// no ids) and [`words::WordIds::analyze`]. Each sentence is cut into
+/// tokens and each token lowercased once; a lowercase form the table
+/// holds gives the token's id, tag data and lemma, and any other token
+/// takes the per-word rules and, with `ids`, request-local ids. Then only
+/// capitalization, sentence position and the gerund repair depend on
+/// context.
+fn analysis(text: &str, mut ids: Option<&mut words::WordIds<'_>>) -> (Document, DocIds) {
+    let table = ids.as_ref().map_or(&words::EMPTY, |ids| ids.table());
     let sentence_spans = split_sentences(text);
-    let mut tokens: Vec<Token> = Vec::new();
+    let mut tokens: Vec<Token> = Vec::with_capacity(text.len() / 4);
+    let mut doc_ids = DocIds::default();
+    if ids.is_some() {
+        doc_ids.lower.reserve(text.len() / 4);
+        doc_ids.lemma.reserve(text.len() / 4);
+    }
     let mut sentences = Vec::with_capacity(sentence_spans.len());
+    let mut buf = [0u8; LOWER_BUF];
     for span in sentence_spans.iter() {
         let token_start = tokens.len();
         let sent = sentences.len();
         tokenizer::token_spans(&text[span.clone()], |start, end| {
             let (start, end) = (start + span.start, end + span.start);
+            let surface = &text[start..end];
+            let sent_initial = tokens.len() == token_start;
+            let prev = tokens.last().filter(|_| !sent_initial).map(|t| t.pos);
+            let capitalized = pos::capitalized(surface);
+            let ascii = surface.is_ascii();
+            let upper = |b: u8| b.is_ascii_uppercase();
+            let lower = if ascii && surface.len() <= LOWER_BUF && surface.bytes().any(upper) {
+                let lower = &mut buf[..surface.len()];
+                lower.copy_from_slice(surface.as_bytes());
+                lower.make_ascii_lowercase();
+                Cow::Borrowed(std::str::from_utf8(lower).expect("ASCII"))
+            } else {
+                token::lowercase(surface)
+            };
+            let hit = if ascii { table.analysis(&lower) } else { None };
+            let (pos, lemma, id) = match hit {
+                Some((id, info)) => {
+                    let pos = pos::repair(info.tag.tag(capitalized, sent_initial), prev, &lower);
+                    let lemma = info.lemma[lemma::lemma_class(pos)];
+                    let form = if lemma == id {
+                        &lower
+                    } else {
+                        table.word(lemma)
+                    };
+                    (pos, TokenStr::new(form), Some((id, lemma)))
+                }
+                None => {
+                    let tag = pos::WordTag::of(surface, &lower).tag(capitalized, sent_initial);
+                    let pos = pos::repair(tag, prev, &lower);
+                    let (stem, tail) = lemma::lemma_parts(&lower, pos);
+                    let lemma = TokenStr::concat(stem, tail);
+                    let id = ids.as_mut().map(|ids| {
+                        let w = ids.id(&lower);
+                        let l = if lemma == *lower { w } else { ids.id(&lemma) };
+                        (w, l)
+                    });
+                    (pos, lemma, id)
+                }
+            };
+            if let Some((w, l)) = id {
+                doc_ids.lower.push(w);
+                doc_ids.lemma.push(l);
+            }
             tokens.push(Token {
-                text: text[start..end].to_string(),
-                lemma: String::new(), // set below, once tagged
-                pos: Pos::Other,
+                text: TokenStr::new(surface),
+                lemma,
+                pos,
                 index: tokens.len(),
                 sent,
                 start,
@@ -229,15 +304,12 @@ pub fn analyze(text: &str) -> Document {
             });
         }
     }
-    tag_tokens(&mut tokens);
-    for t in &mut tokens {
-        t.lemma = lemmatize(&token::lowercase(&t.text), t.pos);
-    }
-    Document {
+    let doc = Document {
         text: text.to_string(),
         tokens,
         sentences,
-    }
+    };
+    (doc, doc_ids)
 }
 
 /// Join tokens into a readable string with simple detokenization rules:

@@ -8,7 +8,6 @@
 use crate::stopwords::{
     AUXILIARIES, CONJUNCTIONS, DETERMINERS, PARTICLES, PREPOSITIONS, PRONOUNS, QUESTION_WORDS,
 };
-use crate::token::{lowercase, Token};
 use std::sync::OnceLock;
 
 /// Coarse part-of-speech tags.
@@ -352,49 +351,81 @@ pub(crate) fn listed_tag(lower: &str) -> Option<Pos> {
         .map(|i| table[i].1)
 }
 
-/// Tag a mutable slice of tokens in place. Tokens must already carry their
-/// sentence indices (used for sentence-initial capitalization handling).
-pub fn tag_tokens(tokens: &mut [Token]) {
-    let len = tokens.len();
-    for i in 0..len {
-        let sent_initial = i == 0 || tokens[i - 1].sent != tokens[i].sent;
-        tokens[i].pos = tag_word(&tokens[i].text, sent_initial);
-    }
-    repair_pass(tokens);
+/// What tagging reads from a word besides its capitalization and its
+/// position: the tag the closed rules fix (punctuation, numbers, the
+/// clitics, the word lists), else the suffix rules' tag. For an ASCII
+/// word both are functions of its lowercase form, so a fitted word table
+/// stores them per word ([`crate::words::WordTable`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WordTag {
+    fixed: Option<Pos>,
+    suffix: Option<Pos>,
 }
 
-/// Tag one word given whether it starts a sentence.
-fn tag_word(text: &str, sent_initial: bool) -> Pos {
-    if text.chars().all(|c| !c.is_alphanumeric()) {
-        return Pos::Punct;
+impl WordTag {
+    /// The tag data of a word with surface form `text` and lowercase
+    /// form `lower`.
+    pub(crate) fn of(text: &str, lower: &str) -> Self {
+        let fixed = if text.chars().all(|c| !c.is_alphanumeric()) {
+            Some(Pos::Punct)
+        } else if text
+            .chars()
+            .all(|c| c.is_ascii_digit() || c == '.' || c == ',')
+        {
+            Some(Pos::Num)
+        } else if matches!(lower, "'s" | "\u{2019}s" | "n't" | "n\u{2019}t") {
+            Some(Pos::Particle)
+        } else {
+            listed_tag(lower)
+        };
+        let suffix = if fixed.is_none() {
+            suffix_tag(lower)
+        } else {
+            None
+        };
+        WordTag { fixed, suffix }
     }
-    if text
-        .chars()
-        .all(|c| c.is_ascii_digit() || c == '.' || c == ',')
+
+    /// The word's tag given whether it is capitalized and whether it
+    /// starts a sentence. Capitalized mid-sentence => proper noun.
+    /// Sentence-initial capitalized words fall through to morphology and
+    /// default to proper noun only if they look like names (no common
+    /// suffix match).
+    pub(crate) fn tag(self, capitalized: bool, sent_initial: bool) -> Pos {
+        if let Some(pos) = self.fixed {
+            return pos;
+        }
+        if capitalized && !sent_initial {
+            return Pos::ProperNoun;
+        }
+        if let Some(pos) = self.suffix {
+            return pos;
+        }
+        if capitalized {
+            return Pos::ProperNoun;
+        }
+        Pos::Noun
+    }
+}
+
+/// True when `text` starts with an uppercase letter.
+pub(crate) fn capitalized(text: &str) -> bool {
+    text.chars().next().is_some_and(|c| c.is_uppercase())
+}
+
+/// The contextual repair: a word tagged Verb whose lowercase form
+/// `lower` ends in "ing", directly after a determiner, adjective or
+/// number of its sentence (`prev`), is re-tagged Noun ("the painting").
+/// "to" before a verb stays Prep (we do not distinguish infinitival to).
+pub(crate) fn repair(pos: Pos, prev: Option<Pos>, lower: &str) -> Pos {
+    if pos == Pos::Verb
+        && matches!(prev, Some(Pos::Det | Pos::Adj | Pos::Num))
+        && lower.ends_with("ing")
     {
-        return Pos::Num;
+        Pos::Noun
+    } else {
+        pos
     }
-    let lower = lowercase(text);
-    if matches!(&*lower, "'s" | "\u{2019}s" | "n't" | "n\u{2019}t") {
-        return Pos::Particle;
-    }
-    if let Some(pos) = listed_tag(&lower) {
-        return pos;
-    }
-    // Capitalized mid-sentence => proper noun. Sentence-initial capitalized
-    // words fall through to morphology and default to proper noun only if
-    // they look like names (no common suffix match).
-    let capitalized = text.chars().next().is_some_and(|c| c.is_uppercase());
-    if capitalized && !sent_initial {
-        return Pos::ProperNoun;
-    }
-    if let Some(pos) = suffix_tag(&lower) {
-        return pos;
-    }
-    if capitalized {
-        return Pos::ProperNoun;
-    }
-    Pos::Noun
 }
 
 /// Morphological suffix heuristics for open-class words.
@@ -436,28 +467,17 @@ fn suffix_tag(lower: &str) -> Option<Pos> {
     None
 }
 
-/// Contextual repairs: a word tagged Verb directly after a determiner is
-/// re-tagged Noun ("the painting"), and "to" before a verb stays Prep (we
-/// do not distinguish infinitival to).
-fn repair_pass(tokens: &mut [Token]) {
-    for i in 1..tokens.len() {
-        if tokens[i].sent != tokens[i - 1].sent {
-            continue;
-        }
-        if tokens[i].pos == Pos::Verb
-            && matches!(tokens[i - 1].pos, Pos::Det | Pos::Adj | Pos::Num)
-            && lowercase(&tokens[i].text).ends_with("ing")
-        {
-            tokens[i].pos = Pos::Noun;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze;
     use crate::stopwords::WordClass;
+    use crate::token::lowercase;
+
+    /// One word's tag, as `analyze` gives it before the repair.
+    fn tag_word(text: &str, sent_initial: bool) -> Pos {
+        WordTag::of(text, &lowercase(text)).tag(capitalized(text), sent_initial)
+    }
 
     /// The tagger before the word table: seven closed-class scans in
     /// order, then the verb, adjective and adverb lists. Kept as the

@@ -5,7 +5,7 @@
 //! "Dr. Smith" or "U.S. team" do not split. This mirrors the behaviour GCED
 //! needs from CoreNLP: contexts in the paper's datasets are edited prose.
 
-use crate::token::lowercase;
+use crate::tokenizer::char_at;
 use std::ops::Range;
 
 /// Abbreviations that do not terminate a sentence when followed by a period.
@@ -18,32 +18,30 @@ const ABBREVIATIONS: &[&str] = &[
 /// sentence (leading/trailing whitespace excluded) and are non-overlapping
 /// and in order. Text without terminal punctuation forms one sentence.
 pub fn split_sentences(text: &str) -> Vec<Range<usize>> {
-    let chars: Vec<(usize, char)> = text.char_indices().collect();
-    let n = chars.len();
     let mut ranges = Vec::new();
     let mut sent_start: Option<usize> = None;
     let mut i = 0;
-    while i < n {
-        let (byte, c) = chars[i];
+    while let Some(c) = char_at(text, i) {
         if sent_start.is_none() && !c.is_whitespace() {
-            sent_start = Some(byte);
+            sent_start = Some(i);
         }
         if matches!(c, '.' | '!' | '?') && sent_start.is_some() {
-            // Absorb a run of terminal punctuation and closing quotes/brackets.
+            // Absorb a run of terminal punctuation and closing quotes/brackets
+            // (all one byte long).
             let mut j = i + 1;
-            while j < n && matches!(chars[j].1, '.' | '!' | '?' | ')' | '"' | '\'' | ']') {
+            while matches!(
+                char_at(text, j),
+                Some('.' | '!' | '?' | ')' | '"' | '\'' | ']')
+            ) {
                 j += 1;
             }
-            let boundary = is_boundary(text, &chars, i, j);
-            if boundary {
-                let end_byte = if j < n { chars[j].0 } else { text.len() };
-                ranges.push(sent_start.unwrap()..end_byte);
-                sent_start = None;
+            if is_boundary(text, i, j) {
+                ranges.push(sent_start.take().expect("inside a sentence")..j);
             }
             i = j;
             continue;
         }
-        i += 1;
+        i += c.len_utf8();
     }
     if let Some(start) = sent_start {
         // Trailing fragment without terminal punctuation: end at the
@@ -56,53 +54,59 @@ pub fn split_sentences(text: &str) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Decide whether the terminal-punctuation run ending before char index `j`
-/// (with the triggering mark at char index `i`) is a sentence boundary.
-fn is_boundary(text: &str, chars: &[(usize, char)], i: usize, j: usize) -> bool {
-    let (byte, c) = chars[i];
-    if c != '.' {
+/// Decide whether the terminal-punctuation run `text[i..j]` (its first
+/// byte the triggering mark) is a sentence boundary.
+fn is_boundary(text: &str, i: usize, j: usize) -> bool {
+    if text.as_bytes()[i] != b'.' {
         return true; // '!' and '?' always end sentences here.
     }
     // Token immediately before the period.
-    let before = &text[..byte];
+    let before = &text[..i];
     let word_start = before
         .char_indices()
         .rev()
         .take_while(|&(_, c)| c.is_alphanumeric() || c == '.')
         .last()
         .map_or(before.len(), |(i, _)| i);
-    let lw = lowercase(&before[word_start..]);
-    // Single-letter initial like "B." in "B. Obama".
-    if lw.len() == 1 && lw.chars().all(|c| c.is_alphabetic()) {
-        return false;
-    }
-    if ABBREVIATIONS.contains(&lw.trim_end_matches('.')) {
+    let word = &before[word_start..];
+    // A single-letter initial like "B." in "B. Obama", or an abbreviation.
+    // ASCII lowercasing keeps lengths and letters, so an ASCII word
+    // compares ignoring case instead of being lowercased.
+    let abbreviation = if word.is_ascii() {
+        let stem = word.trim_end_matches('.');
+        (word.len() == 1 && word.as_bytes()[0].is_ascii_alphabetic())
+            || ABBREVIATIONS.iter().any(|a| a.eq_ignore_ascii_case(stem))
+    } else {
+        let lw = word.to_lowercase();
+        (lw.len() == 1 && lw.chars().all(|c| c.is_alphabetic()))
+            || ABBREVIATIONS.contains(&lw.trim_end_matches('.'))
+    };
+    if abbreviation {
         return false;
     }
     // A decimal number like "3.14" — period between digits.
-    if i > 0
-        && i + 1 < chars.len()
-        && chars[i - 1].1.is_ascii_digit()
-        && chars[i + 1].1.is_ascii_digit()
+    if before
+        .chars()
+        .next_back()
+        .is_some_and(|c| c.is_ascii_digit())
+        && char_at(text, i + 1).is_some_and(|c| c.is_ascii_digit())
     {
         return false;
     }
     // Require whitespace + capital/digit/quote to the right, or end of text.
-    let mut k = j;
-    if k >= chars.len() {
+    let rest = &text[j..];
+    if rest.is_empty() {
         return true;
     }
-    if !chars[k].1.is_whitespace() {
+    if !rest.starts_with(char::is_whitespace) {
         return false;
     }
-    while k < chars.len() && chars[k].1.is_whitespace() {
-        k += 1;
+    match rest.trim_start().chars().next() {
+        None => true,
+        Some(next) => {
+            next.is_uppercase() || next.is_ascii_digit() || matches!(next, '"' | '\'' | '(')
+        }
     }
-    if k >= chars.len() {
-        return true;
-    }
-    let next = chars[k].1;
-    next.is_uppercase() || next.is_ascii_digit() || matches!(next, '"' | '\'' | '(')
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! Token and sentence types shared across the workspace.
 
 use crate::pos::Pos;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 /// Index of a token within a [`crate::Document`] (global, dense).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,9 +34,9 @@ impl fmt::Display for SentId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// Surface form exactly as it appeared in the text.
-    pub text: String,
+    pub text: TokenStr,
     /// Lowercased lemma (rule-based; see [`crate::lemma`]).
-    pub lemma: String,
+    pub lemma: TokenStr,
     /// Coarse part-of-speech tag.
     pub pos: Pos,
     /// Global token index within the document.
@@ -50,11 +52,10 @@ pub struct Token {
 impl Token {
     /// A bare token with only surface text and offsets; POS/lemma are
     /// filled in by the analysis pipeline.
-    pub fn raw(text: impl Into<String>, start: usize, end: usize) -> Self {
-        let text = text.into();
+    pub fn raw(text: &str, start: usize, end: usize) -> Self {
         Token {
-            lemma: text.to_lowercase(),
-            text,
+            lemma: TokenStr::from(text.to_lowercase()),
+            text: TokenStr::new(text),
             pos: Pos::Other,
             index: 0,
             sent: 0,
@@ -98,6 +99,171 @@ pub(crate) fn lowercase(text: &str) -> Cow<'_, str> {
     }
 }
 
+/// Bytes a [`TokenStr`] holds without a heap allocation: all but a
+/// handful of words, and still 24 bytes, as a `String`.
+const INLINE: usize = 22;
+
+/// An immutable token string stored inline when it is short (nearly
+/// every word), so analysing, projecting and cloning tokens does not
+/// touch the heap. It reads as a `str` ([`Deref`]) and compares with
+/// `str` and `String`.
+#[derive(Clone)]
+pub struct TokenStr(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `buf[..len]`, valid UTF-8.
+    Inline {
+        len: u8,
+        buf: [u8; INLINE],
+    },
+    Heap(Box<str>),
+}
+
+impl TokenStr {
+    /// `s` as a token string.
+    pub fn new(s: &str) -> Self {
+        if s.len() > INLINE {
+            return TokenStr(Repr::Heap(s.into()));
+        }
+        let mut buf = [0u8; INLINE];
+        buf[..s.len()].copy_from_slice(s.as_bytes());
+        TokenStr(Repr::Inline {
+            len: s.len() as u8,
+            buf,
+        })
+    }
+
+    /// `head` followed by `tail`.
+    pub(crate) fn concat(head: &str, tail: &str) -> Self {
+        let len = head.len() + tail.len();
+        if len > INLINE {
+            return TokenStr(Repr::Heap([head, tail].concat().into_boxed_str()));
+        }
+        let mut buf = [0u8; INLINE];
+        buf[..head.len()].copy_from_slice(head.as_bytes());
+        buf[head.len()..len].copy_from_slice(tail.as_bytes());
+        TokenStr(Repr::Inline {
+            len: len as u8,
+            buf,
+        })
+    }
+
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, buf } => {
+                let bytes = &buf[..*len as usize];
+                // SAFETY: `buf[..len]` was copied from one `str` or two
+                // (`TokenStr::new`, `TokenStr::concat`), so it is valid UTF-8.
+                unsafe { std::str::from_utf8_unchecked(bytes) }
+            }
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl Default for TokenStr {
+    fn default() -> Self {
+        TokenStr::new("")
+    }
+}
+
+impl Deref for TokenStr {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for TokenStr {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Borrow<str> for TokenStr {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for TokenStr {
+    fn from(s: &str) -> Self {
+        TokenStr::new(s)
+    }
+}
+
+impl From<String> for TokenStr {
+    fn from(s: String) -> Self {
+        if s.len() > INLINE {
+            TokenStr(Repr::Heap(s.into_boxed_str()))
+        } else {
+            TokenStr::new(&s)
+        }
+    }
+}
+
+impl From<&TokenStr> for String {
+    fn from(s: &TokenStr) -> Self {
+        s.as_str().to_string()
+    }
+}
+
+impl PartialEq for TokenStr {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for TokenStr {}
+
+impl PartialOrd for TokenStr {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TokenStr {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl Hash for TokenStr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl fmt::Debug for TokenStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for TokenStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+macro_rules! eq_str {
+    ($($t:ty),*) => {$(
+        impl PartialEq<$t> for TokenStr {
+            fn eq(&self, other: &$t) -> bool {
+                self.as_str() == &other[..]
+            }
+        }
+        impl PartialEq<TokenStr> for $t {
+            fn eq(&self, other: &TokenStr) -> bool {
+                &self[..] == other.as_str()
+            }
+        }
+    )*};
+}
+eq_str!(str, &str, String);
+
 /// A contiguous run of tokens forming one sentence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sentence {
@@ -140,6 +306,34 @@ mod tests {
         assert_eq!(t.lemma, "hello");
         assert_eq!(t.pos, Pos::Other);
         assert!(t.is_alpha());
+    }
+
+    #[test]
+    fn token_strings_round_trip_inline_and_on_the_heap() {
+        assert_eq!(std::mem::size_of::<TokenStr>(), 24);
+        for s in [
+            "",
+            "a",
+            "Denver",
+            "\u{130}stanbul",
+            &"x".repeat(22),
+            &"y".repeat(23),
+        ] {
+            let t = TokenStr::new(s);
+            assert_eq!(t, s);
+            assert_eq!(TokenStr::from(s.to_string()), t);
+            assert_eq!(format!("{t:?}"), format!("{s:?}"));
+        }
+        assert!(matches!(
+            TokenStr::new(&"x".repeat(22)).0,
+            Repr::Inline { .. }
+        ));
+        assert!(matches!(TokenStr::new(&"x".repeat(23)).0, Repr::Heap(_)));
+        assert_eq!(TokenStr::concat("stud", "y"), "study");
+        assert_eq!(
+            TokenStr::concat(&"z".repeat(20), "ies"),
+            "z".repeat(20) + "ies"
+        );
     }
 
     #[test]

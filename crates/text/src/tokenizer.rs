@@ -23,55 +23,51 @@ pub fn tokenize(text: &str) -> Vec<Token> {
 }
 
 /// Call `emit(start, end)` with the byte range of each token of `text`,
-/// in order: the cutting half of [`tokenize`], which allocates nothing
-/// per token.
+/// in order: the cutting half of [`tokenize`], which allocates nothing.
 pub(crate) fn token_spans(text: &str, mut emit: impl FnMut(usize, usize)) {
-    let chars: Vec<(usize, char)> = text.char_indices().collect();
-    let n = chars.len();
     let mut i = 0;
-    while i < n {
-        let (byte, c) = chars[i];
+    while let Some(c) = char_at(text, i) {
+        let next = i + c.len_utf8();
         if c.is_whitespace() {
-            i += 1;
+            i = next;
             continue;
         }
         if c.is_alphanumeric() {
             // Consume a word: alphanumerics with internal '-' or '\''
-            // joining two alphanumerics.
-            let start_byte = byte;
-            let mut j = i + 1;
-            while j < n {
-                let (_, cj) = chars[j];
-                if cj.is_alphanumeric()
-                    || ((cj == '-' || cj == '\'' || cj == '\u{2019}')
-                        && j + 1 < n
-                        && chars[j + 1].1.is_alphanumeric())
-                {
-                    j += 1;
-                } else if (cj == '.' || cj == ',')
-                    && chars[j - 1].1.is_ascii_digit()
-                    && j + 1 < n
-                    && chars[j + 1].1.is_ascii_digit()
-                {
-                    // Decimal point or thousands separator inside a number.
-                    j += 1;
-                } else {
+            // joining two alphanumerics, and '.' or ',' inside a number
+            // (decimal point, thousands separator).
+            let (mut prev, mut j) = (c, next);
+            while let Some(cj) = char_at(text, j) {
+                let after = || char_at(text, j + cj.len_utf8());
+                let joins = cj.is_alphanumeric()
+                    || (matches!(cj, '-' | '\'' | '\u{2019}')
+                        && after().is_some_and(char::is_alphanumeric))
+                    || (matches!(cj, '.' | ',')
+                        && prev.is_ascii_digit()
+                        && after().is_some_and(|a| a.is_ascii_digit()));
+                if !joins {
                     break;
                 }
+                prev = cj;
+                j += cj.len_utf8();
             }
-            let end_byte = if j < n { chars[j].0 } else { text.len() };
-            emit_word(&text[start_byte..end_byte], start_byte, &mut emit);
+            emit_word(&text[i..j], i, &mut emit);
             i = j;
         } else {
             // Single-character punctuation/symbol token.
-            let end_byte = if i + 1 < n {
-                chars[i + 1].0
-            } else {
-                text.len()
-            };
-            emit(byte, end_byte);
-            i += 1;
+            emit(i, next);
+            i = next;
         }
+    }
+}
+
+/// The char starting at byte `i` of `text`, if any (`i` must be a char
+/// boundary).
+pub(crate) fn char_at(text: &str, i: usize) -> Option<char> {
+    match text.as_bytes().get(i) {
+        Some(&b) if b.is_ascii() => Some(b as char),
+        Some(_) => text[i..].chars().next(),
+        None => None,
     }
 }
 
@@ -123,7 +119,10 @@ mod tests {
     use super::*;
 
     fn texts(input: &str) -> Vec<String> {
-        tokenize(input).into_iter().map(|t| t.text).collect()
+        tokenize(input)
+            .into_iter()
+            .map(|t| t.text.to_string())
+            .collect()
     }
 
     #[test]

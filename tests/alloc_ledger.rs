@@ -1,4 +1,5 @@
-//! Allocation ledger: heap allocations per `analyze(context)` and per
+//! Allocation ledger: heap allocations per `analyze(context)` (plain, and
+//! against the fitted vocabulary as a distillation runs it) and per
 //! sequential `Gced::distill` on a fixed input, counted by a test-only
 //! global allocator. Unlike timings, the counts are exact and repeatable,
 //! so a change that re-derives strings on the hot path shows up here
@@ -66,12 +67,13 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 const EXAMPLES: usize = 200;
 
 /// Ceilings: the measured counts plus at most 5 %. Debug builds count a
-/// few percent more per distill than release builds (746.4 vs 717.9 on
-/// TriviaQA-Web, 564.9 vs 536.2 on SQuAD-1.1), so the ceilings are set
+/// few percent more per distill than release builds (312.6 vs 284.0 on
+/// TriviaQA-Web, 308.8 vs 280.2 on SQuAD-1.1), so the ceilings are set
 /// from the debug counts.
-const MAX_ANALYZE_ALLOCS: f64 = 339.0;
-const MAX_DISTILL_ALLOCS: f64 = 783.0;
-const MAX_SQUAD_DISTILL_ALLOCS: f64 = 593.0;
+const MAX_ANALYZE_ALLOCS: f64 = 6.0;
+const MAX_FITTED_ANALYZE_ALLOCS: f64 = 9.3;
+const MAX_DISTILL_ALLOCS: f64 = 328.0;
+const MAX_SQUAD_DISTILL_ALLOCS: f64 = 324.0;
 
 type Fixture = (Gced, Vec<QaExample>);
 
@@ -132,6 +134,23 @@ fn analyze_allocations_per_context() {
     assert!(
         per_call <= MAX_ANALYZE_ALLOCS,
         "analyze allocates {per_call:.1} per context (ceiling {MAX_ANALYZE_ALLOCS})"
+    );
+}
+
+#[test]
+fn fitted_analyze_allocations_per_context() {
+    let (gced, examples) = fixture();
+    let table = gced.id_table();
+    let (total, _) = allocations(|| {
+        for ex in examples {
+            drop(table.request().analyze(&ex.context));
+        }
+    });
+    let per_call = total as f64 / EXAMPLES as f64;
+    println!("alloc ledger: fitted analyze(context) {per_call:.1} allocations per call");
+    assert!(
+        per_call <= MAX_FITTED_ANALYZE_ALLOCS,
+        "fitted analyze allocates {per_call:.1} per context (ceiling {MAX_FITTED_ANALYZE_ALLOCS})"
     );
 }
 

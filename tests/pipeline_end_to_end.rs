@@ -109,7 +109,7 @@ fn evidence_tokens_come_from_the_context() {
         let ctx_words: std::collections::HashSet<String> = gced_text::analyze(&ex.context)
             .tokens
             .iter()
-            .map(|t| t.text.clone())
+            .map(|t| t.text.to_string())
             .collect();
         for tok in &d.evidence_tokens {
             assert!(
@@ -141,7 +141,7 @@ fn evidence_token_order_is_by_original_index() {
         let aos_tokens: Vec<String> = gced_text::analyze(&d.aos_text)
             .tokens
             .iter()
-            .map(|t| t.text.clone())
+            .map(|t| t.text.to_string())
             .collect();
         // Evidence tokens must be a subsequence of the AOS token stream.
         let mut pos = 0usize;
