@@ -245,8 +245,8 @@ fn analysis(text: &str, mut ids: Option<&mut words::WordIds<'_>>) -> (Document, 
             let prev = tokens.last().filter(|_| !sent_initial).map(|t| t.pos);
             let capitalized = pos::capitalized(surface);
             let ascii = surface.is_ascii();
-            let upper = |b: u8| b.is_ascii_uppercase();
-            let lower = if ascii && surface.len() <= LOWER_BUF && surface.bytes().any(upper) {
+            let has_upper = surface.bytes().any(|b| b.is_ascii_uppercase());
+            let lower = if ascii && surface.len() <= LOWER_BUF && has_upper {
                 let lower = &mut buf[..surface.len()];
                 lower.copy_from_slice(surface.as_bytes());
                 lower.make_ascii_lowercase();

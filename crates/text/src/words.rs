@@ -79,8 +79,7 @@ impl WordTable {
             for pos in CLASS_TAGS {
                 let (stem, tail) = lemma_parts(&w, pos);
                 let lemma = [stem, tail].concat();
-                if !all.contains(&lemma) {
-                    all.insert(lemma.clone());
+                if all.insert(lemma.clone()) {
                     todo.push(lemma);
                 }
             }
