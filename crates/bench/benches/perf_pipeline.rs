@@ -82,6 +82,15 @@ fn bench_substrates(c: &mut Criterion) {
         });
     }
 
+    // The rows a distill's search reads: six attention rows of a
+    // 14-token AOS (about what SGS prefetches), in one gathered pass.
+    let x14 = mha.embed_sequence(&words[..14], &table);
+    let rows = [1, 3, 5, 6, 9, 12];
+    let mut out = vec![0.0f32; rows.len() * x14.rows()];
+    c.bench_function("nn/attention_rows", |b| {
+        b.iter(|| mha.attention_rows(black_box(&x14), &rows, &mut out))
+    });
+
     // Kernel micro-benches: the two matmul shapes the attention hot path
     // is built from (projection-shaped A·B and score-shaped A·Bᵀ), plus
     // the full Eq. 8 encode. These isolate the numeric substrate from

@@ -107,7 +107,7 @@ pub struct Distillation {
 
 /// Per-call knobs of the distillation paths (not part of the public
 /// configuration: semantics are identical on every path).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct DistillOpts {
     /// Run the clip search through the reference oracle.
     reference_clip: bool,
@@ -116,18 +116,6 @@ struct DistillOpts {
     /// location, QWS and the WSPTC embedding on token strings rather
     /// than interned ids.
     reference_ase: bool,
-    /// Allow candidate-level parallelism inside the clip search.
-    parallel_clip: bool,
-}
-
-impl Default for DistillOpts {
-    fn default() -> Self {
-        DistillOpts {
-            reference_clip: false,
-            reference_ase: false,
-            parallel_clip: true,
-        }
-    }
 }
 
 /// Embedding/attention model width (fixed across the pipeline).
@@ -313,7 +301,6 @@ impl Gced {
         let opts = DistillOpts {
             reference_clip: true,
             reference_ase: true,
-            ..DistillOpts::default()
         };
         self.distill_opts(question, answer, context, opts)
     }
@@ -434,7 +421,7 @@ impl Gced {
         };
 
         // ---- WSPTC ----------------------------------------------------------
-        let wt = {
+        let mut wt = {
             let _s = gced_obs::span("wsptc");
             if opts.reference_ase {
                 wsptc::construct(&self.parser, &self.attention, &self.embeddings, aos)
@@ -469,7 +456,7 @@ impl Gced {
         let (mut te, te_root, grow_steps) = if self.config.ablation.use_grow {
             let _s = gced_obs::span("oec.grow");
             let (te, root, steps) =
-                oec::grow_with_order(&wt, &forest, self.config.grow_max_attention);
+                oec::grow_with_order(&mut wt, &forest, self.config.grow_max_attention);
             (te, root, steps)
         } else {
             // Ablation: emit the disconnected forest directly; the
@@ -496,7 +483,7 @@ impl Gced {
             };
             trace.clip_steps = if opts.reference_clip {
                 oec::reference::clip(
-                    &wt,
+                    &mut wt,
                     &mut te,
                     te_root,
                     &protected,
@@ -505,15 +492,14 @@ impl Gced {
                     self.config.clip,
                 )
             } else {
-                let (steps, scores) = oec::clip_with_options(
-                    &wt,
+                let (steps, scores) = oec::clip(
+                    &mut wt,
                     &mut te,
                     te_root,
                     &protected,
                     &scorer,
                     (aos, aos_ids),
                     self.config.clip,
-                    opts.parallel_clip,
                 );
                 final_scores = Some(scores);
                 steps
@@ -529,9 +515,7 @@ impl Gced {
     /// Output is element-wise identical to calling [`Gced::distill`] on
     /// each tuple in order, regardless of thread count or scheduling:
     /// results are written back by input index and every distillation is
-    /// deterministic. Candidate-level parallelism inside each clip
-    /// search is disabled here — the batch dimension already saturates
-    /// the workers.
+    /// deterministic.
     pub fn distill_batch<Q, A, C>(
         &self,
         items: &[(Q, A, C)],
@@ -541,12 +525,8 @@ impl Gced {
         A: AsRef<str> + Sync,
         C: AsRef<str> + Sync,
     {
-        let opts = DistillOpts {
-            parallel_clip: false,
-            ..DistillOpts::default()
-        };
         gced_par::par_map(items, |_, (q, a, c)| {
-            self.distill_opts(q.as_ref(), a.as_ref(), c.as_ref(), opts)
+            self.distill_opts(q.as_ref(), a.as_ref(), c.as_ref(), DistillOpts::default())
         })
     }
 
@@ -586,13 +566,9 @@ impl Gced {
         A: AsRef<str> + Sync,
         C: AsRef<str> + Sync,
     {
-        let opts = DistillOpts {
-            parallel_clip: false,
-            ..DistillOpts::default()
-        };
         gced_par::par_map(items, |_, (q, a, c)| {
             gced_obs::capture("distill", || {
-                self.distill_opts(q.as_ref(), a.as_ref(), c.as_ref(), opts)
+                self.distill_opts(q.as_ref(), a.as_ref(), c.as_ref(), DistillOpts::default())
             })
         })
     }

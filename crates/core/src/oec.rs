@@ -13,13 +13,20 @@
 //!   line 3), the candidate whose removal maximizes the hybrid score is
 //!   clipped (ties broken by minimal root-to-parent attention — line 5),
 //!   for M iterations or while the score improves.
+//!
+//! Attention weights are read through [`WeightedTree::edge_weight`],
+//! which computes them on first read: SGS prefetches every weight it
+//! could consult in one pass, and SCS reads weights only on exact score
+//! ties.
 
 use crate::config::ClipMode;
 use crate::efc::EvidenceForest;
 use crate::ids::DocIds;
 use crate::scoring::{Bitset, EvidenceScorer, EvidenceScores, ScoreScratch};
 use crate::wsptc::WeightedTree;
+use gced_parser::DepTree;
 use gced_text::Document;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// One SGS iteration, for the trace.
@@ -51,7 +58,10 @@ pub struct ClipStep {
 }
 
 /// Run SGS with the paper's max-attention root selection.
-pub fn grow(wt: &WeightedTree, forest: &EvidenceForest) -> (BTreeSet<usize>, usize, Vec<GrowStep>) {
+pub fn grow(
+    wt: &mut WeightedTree<'_>,
+    forest: &EvidenceForest,
+) -> (BTreeSet<usize>, usize, Vec<GrowStep>) {
     grow_with_order(wt, forest, true)
 }
 
@@ -60,69 +70,111 @@ pub fn grow(wt: &WeightedTree, forest: &EvidenceForest) -> (BTreeSet<usize>, usi
 /// `max_attention = false` the lowest-root-index growable tree is chosen
 /// instead (the grow-order design ablation).
 pub fn grow_with_order(
-    wt: &WeightedTree,
+    wt: &mut WeightedTree<'_>,
     forest: &EvidenceForest,
     max_attention: bool,
 ) -> (BTreeSet<usize>, usize, Vec<GrowStep>) {
     assert!(!forest.is_empty(), "SGS requires a non-empty forest");
-    let tree = &wt.tree;
-    // Working set: (nodes, root) per live tree.
-    let mut live: Vec<(BTreeSet<usize>, usize)> = forest
-        .trees
-        .iter()
-        .map(|t| (t.nodes.clone(), t.root))
-        .collect();
+    // Working set: the root of each live tree. A grown tree is the full
+    // subtree of its root, so node sets are needed only at the end.
+    let mut live: Vec<usize> = forest.trees.iter().map(|t| t.root).collect();
+    if live.len() > 1 {
+        let reads = sgs_reads(&wt.tree, live.iter().copied());
+        wt.prefetch(reads);
+    }
     let mut steps = Vec::new();
     while live.len() > 1 {
         // Select among trees whose root still has a parent.
-        let growable = live
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, root))| tree.parent(*root).is_some());
         let chosen = if max_attention {
-            growable
-                .max_by(|a, b| {
-                    let wa = wt.edge_weight(a.1 .1);
-                    let wb = wt.edge_weight(b.1 .1);
-                    wa.partial_cmp(&wb).expect("weights are never NaN")
-                })
-                .map(|(i, _)| i)
+            // The last maximum, as `Iterator::max_by` picks it.
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &root) in live.iter().enumerate() {
+                if wt.tree.parent(root).is_none() {
+                    continue;
+                }
+                let w = wt.edge_weight(root);
+                if best.is_none_or(|(_, b)| {
+                    b.partial_cmp(&w).expect("weights are never NaN") != Ordering::Greater
+                }) {
+                    best = Some((i, w));
+                }
+            }
+            best.map(|(i, _)| i)
         } else {
-            growable.min_by_key(|(_, (_, root))| *root).map(|(i, _)| i)
+            live.iter()
+                .enumerate()
+                .filter(|(_, &root)| wt.tree.parent(root).is_some())
+                .min_by_key(|(_, &root)| root)
+                .map(|(i, _)| i)
         }
         .expect("at least one growable tree while more than one remains");
-        let old_root = live[chosen].1;
-        let parent = tree.parent(old_root).expect("chosen tree is growable");
+        let old_root = live[chosen];
         let weight = wt.edge_weight(old_root);
+        let tree = &wt.tree;
+        let parent = tree.parent(old_root).expect("chosen tree is growable");
         // Grow Step line 4: the new T_opt is the full subtree of T rooted
-        // at the parent (parent + all sibling subtrees).
-        let grown: BTreeSet<usize> = tree.subtree(parent).into_iter().collect();
-        // Merge every live tree now contained in the grown subtree.
+        // at the parent (parent + all sibling subtrees); it absorbs every
+        // live tree whose root it contains.
         let mut merged_roots = Vec::new();
-        live.retain(|(_, root)| {
-            if grown.contains(root) {
-                merged_roots.push(*root);
-                false
-            } else {
-                true
+        live.retain(|&root| {
+            let inside = tree.is_ancestor(parent, root);
+            if inside {
+                merged_roots.push(root);
             }
+            !inside
         });
         steps.push(GrowStep {
             chosen_root: old_root,
             parent,
             weight,
             merged_roots,
-            new_size: grown.len(),
+            new_size: tree.subtree(parent).len(),
         });
-        live.push((grown, parent));
+        live.push(parent);
     }
-    let (nodes, root) = live.pop().expect("exactly one tree remains");
+    // The survivor is the forest's only tree, or the last grown one.
+    let root = live[0];
+    let nodes = if steps.is_empty() {
+        forest.trees[0].nodes.clone()
+    } else {
+        wt.tree.subtree(root).into_iter().collect()
+    };
     (nodes, root, steps)
+}
+
+/// Every node whose weight SGS can read from a forest with these
+/// (distinct) roots: the nodes on the paths from each root up to, but
+/// not including, the roots' common ancestor, plus the ancestor itself
+/// when it is one of the roots. A live root rises only to its parent,
+/// and a root that rises to the common ancestor absorbs every other
+/// tree, so no weight at or above it is read otherwise.
+fn sgs_reads(tree: &DepTree, roots: impl Iterator<Item = usize> + Clone) -> Vec<usize> {
+    let path = |r: usize| std::iter::successors(Some(r), |&v| tree.parent(v));
+    // The common ancestor is the first node on a path that every root's
+    // path visits.
+    let mut visits = vec![0usize; tree.len()];
+    for r in roots.clone() {
+        path(r).for_each(|v| visits[v] += 1);
+    }
+    let k = roots.clone().count();
+    let mut reads = Vec::new();
+    for r in roots {
+        for v in path(r) {
+            if visits[v] == k {
+                if v == r {
+                    reads.push(v);
+                }
+                break;
+            }
+            reads.push(v);
+        }
+    }
+    reads
 }
 
 /// The subtree of `node` *within* the current evidence set `te`
 /// (descendants through members only).
-pub fn subtree_within(wt: &WeightedTree, node: usize, te: &BTreeSet<usize>) -> BTreeSet<usize> {
+pub fn subtree_within(wt: &WeightedTree<'_>, node: usize, te: &BTreeSet<usize>) -> BTreeSet<usize> {
     let mut out = BTreeSet::new();
     let mut stack = vec![node];
     while let Some(x) = stack.pop() {
@@ -139,55 +191,31 @@ pub fn subtree_within(wt: &WeightedTree, node: usize, te: &BTreeSet<usize>) -> B
 }
 
 /// Run SCS in place over `te`. `protected` is the union of forest nodes
-/// (never clipped). Returns the step log.
+/// (never clipped). Returns the step log and the full [`EvidenceScores`]
+/// of the resulting evidence — bitwise-equal to
+/// `scorer.score_selection(aos, te)` on the clipped selection — so the
+/// caller does not pay a final rescore.
 ///
 /// This is the incremental engine: one DFS pass per iteration decomposes
 /// the current evidence into every candidate subtree removal (with
-/// protected-containment computed by aggregation), membership lives in a
-/// `u64` bitset instead of per-candidate `BTreeSet` clones, duplicate
-/// removals are deduplicated, and candidates are scored through the
-/// shared [`crate::scoring::SearchContext`] — masked QA prediction with
-/// span-score partials replayed across iterations, plus an incremental
-/// LM walk. Candidate evaluation parallelizes across worker threads when
-/// the evidence is large enough to pay for it.
+/// protected-containment computed by aggregation), membership lives in
+/// `u64` bitsets instead of per-candidate `BTreeSet` clones, and each
+/// candidate is scored once through the shared
+/// [`crate::scoring::SearchContext`] — a masked QA prediction over the
+/// id tables plus an incremental LM walk — unless the exact
+/// competitiveness prune rules it out.
 ///
 /// The result is **bit-identical** to [`reference::clip`] (the paper-
 /// literal formulation kept as a test oracle): same evidence, same step
 /// log, same tie-breaking by minimal root-to-parent attention.
 pub fn clip(
-    wt: &WeightedTree,
+    wt: &mut WeightedTree<'_>,
     te: &mut BTreeSet<usize>,
     te_root: usize,
     protected: &BTreeSet<usize>,
     scorer: &EvidenceScorer<'_>,
     aos: (&Document, &DocIds),
     mode: ClipMode,
-) -> Vec<ClipStep> {
-    clip_with_options(wt, te, te_root, protected, scorer, aos, mode, true).0
-}
-
-/// Minimum candidate count before the clip search fans evaluation out to
-/// worker threads; below it, thread startup dominates the ~100 µs-scale
-/// scoring work.
-const PAR_MIN_CANDIDATES: usize = 12;
-
-/// [`clip`] with explicit control over candidate-level parallelism
-/// (batch distillation parallelizes across examples instead and turns
-/// the inner fan-out off to avoid oversubscription).
-///
-/// Also returns the full [`EvidenceScores`] of the resulting evidence —
-/// bitwise-equal to `scorer.score_selection(aos, te)` on the clipped
-/// selection — so the caller does not pay a final rescore.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn clip_with_options(
-    wt: &WeightedTree,
-    te: &mut BTreeSet<usize>,
-    te_root: usize,
-    protected: &BTreeSet<usize>,
-    scorer: &EvidenceScorer<'_>,
-    aos: (&Document, &DocIds),
-    mode: ClipMode,
-    allow_parallel: bool,
 ) -> (Vec<ClipStep>, EvidenceScores) {
     let max_iters = match mode {
         ClipMode::Fixed(m) => m,
@@ -195,6 +223,7 @@ pub(crate) fn clip_with_options(
     };
     let n = wt.tree.len();
     let mut members = Bitset::from_iter(n, te.iter().copied());
+    let protected = Bitset::from_iter(n, protected.iter().copied());
     let mut te_size = te.len();
     let mut search = scorer.search_context(aos.0, aos.1);
     search.set_base(te.iter().copied());
@@ -206,65 +235,40 @@ pub(crate) fn clip_with_options(
         let _iter_span = gced_obs::span("clip.iter");
         // One pass: every in-TE subtree decomposition, protected flags
         // aggregated bottom-up, deduplicated by DFS segment.
-        decomp.run(wt, &members, te_root, protected);
+        decomp.run(&wt.tree, &members, te_root, &protected);
         let candidates = decomp.candidates(te_size, te_root);
         gced_obs::counter("candidates", candidates.len() as u64);
         let mut pruned = 0u64;
         // Score candidates and reduce in ascending-node order: identical
-        // argmax and tie-breaking to the reference formulation. The
-        // parallel path evaluates every candidate (the context is shared
-        // immutably, so span partials are not recorded there); the
-        // sequential path scores through the span cache and additionally
-        // prunes candidates whose informativeness-bounded hybrid
-        // provably cannot beat the running best (exact — see
-        // `SearchContext::score_if_competitive`). All paths select
-        // identically.
+        // argmax and tie-breaking to the reference formulation. A
+        // candidate whose informativeness-bounded hybrid provably cannot
+        // beat the running best is pruned (exact — see
+        // `SearchContext::score_if_competitive`).
         let mut best: Option<(usize, EvidenceScores)> = None;
-        if allow_parallel && candidates.len() >= PAR_MIN_CANDIDATES && gced_par::max_threads() > 1 {
-            let scored: Vec<EvidenceScores> =
-                gced_par::par_map_with(&candidates, ScoreScratch::default, |scratch, _, cand| {
-                    search.score_removal(decomp.segment(cand), scratch)
-                });
-            for (k, cand) in candidates.iter().enumerate() {
-                let h = scored[k].hybrid;
-                let better = match &best {
-                    None => true,
-                    Some((bk, bs)) => {
-                        h > bs.hybrid + 1e-12
-                            || ((h - bs.hybrid).abs() <= 1e-12
-                                && wt.edge_weight(cand.node) < wt.edge_weight(candidates[*bk].node))
-                    }
-                };
-                if better {
-                    best = Some((k, scored[k]));
+        for (k, cand) in candidates.iter().enumerate() {
+            // A candidate below `floor` can neither beat the best
+            // outright nor reach the 1e-12 tie window.
+            let floor = match &best {
+                None => f64::NEG_INFINITY,
+                Some((_, bs)) => bs.hybrid - 1e-12,
+            };
+            let Some(scores) =
+                search.score_if_competitive(decomp.segment(cand), floor, &mut scratch)
+            else {
+                pruned += 1;
+                continue;
+            };
+            let h = scores.hybrid;
+            let better = match &best {
+                None => true,
+                Some((bk, bs)) => {
+                    h > bs.hybrid + 1e-12
+                        || ((h - bs.hybrid).abs() <= 1e-12
+                            && lighter(wt, cand.node, candidates[*bk].node))
                 }
-            }
-        } else {
-            for (k, cand) in candidates.iter().enumerate() {
-                // A candidate below `floor` can neither beat the best
-                // outright nor reach the 1e-12 tie window.
-                let floor = match &best {
-                    None => f64::NEG_INFINITY,
-                    Some((_, bs)) => bs.hybrid - 1e-12,
-                };
-                let Some(scores) =
-                    search.score_if_competitive(decomp.segment(cand), floor, &mut scratch)
-                else {
-                    pruned += 1;
-                    continue;
-                };
-                let h = scores.hybrid;
-                let better = match &best {
-                    None => true,
-                    Some((bk, bs)) => {
-                        h > bs.hybrid + 1e-12
-                            || ((h - bs.hybrid).abs() <= 1e-12
-                                && wt.edge_weight(cand.node) < wt.edge_weight(candidates[*bk].node))
-                    }
-                };
-                if better {
-                    best = Some((k, scores));
-                }
+            };
+            if better {
+                best = Some((k, scores));
             }
         }
         gced_obs::counter("candidates_pruned", pruned);
@@ -294,10 +298,15 @@ pub(crate) fn clip_with_options(
         });
         current = winner;
     }
-    let (hits, misses) = search.span_cache_stats();
-    gced_obs::counter("span_cache_hits", hits);
-    gced_obs::counter("span_cache_misses", misses);
     (steps, current)
+}
+
+/// The SCS tie-break (Clip Step line 5): does node `a` hang from its
+/// parent by strictly less attention than `b`? Both weights' rows are
+/// computed in one pass.
+fn lighter(wt: &mut WeightedTree<'_>, a: usize, b: usize) -> bool {
+    wt.prefetch([a, b]);
+    wt.edge_weight(a) < wt.edge_weight(b)
 }
 
 /// One candidate subtree removal: the subtree of `node` within the
@@ -342,13 +351,7 @@ impl Decomposition {
     /// holding `te_root` (the grow-ablated, disconnected case) are
     /// discovered from their topmost members, so every member is covered
     /// exactly once.
-    fn run(
-        &mut self,
-        wt: &WeightedTree,
-        members: &Bitset,
-        te_root: usize,
-        protected: &BTreeSet<usize>,
-    ) {
+    fn run(&mut self, tree: &DepTree, members: &Bitset, te_root: usize, protected: &Bitset) {
         self.order.clear();
         for t in members.iter() {
             self.pre[t] = u32::MAX;
@@ -356,7 +359,7 @@ impl Decomposition {
             self.prot[t] = false;
         }
         if members.contains(te_root) {
-            self.dfs(wt, members, te_root, protected);
+            self.dfs(tree, members, te_root, protected);
         }
         // Remaining components, ascending: walk each unvisited member up
         // to its component top, then DFS from there.
@@ -365,33 +368,27 @@ impl Decomposition {
                 continue;
             }
             let mut top = v;
-            while let Some(p) = wt.tree.parent(top) {
+            while let Some(p) = tree.parent(top) {
                 if members.contains(p) && self.pre[p] == u32::MAX {
                     top = p;
                 } else {
                     break;
                 }
             }
-            self.dfs(wt, members, top, protected);
+            self.dfs(tree, members, top, protected);
         }
     }
 
     /// Iterative DFS computing preorder, subtree sizes, and protected
     /// flags (aggregated from member children on post-order exit) for
     /// one component.
-    fn dfs(
-        &mut self,
-        wt: &WeightedTree,
-        members: &Bitset,
-        root: usize,
-        protected: &BTreeSet<usize>,
-    ) {
+    fn dfs(&mut self, tree: &DepTree, members: &Bitset, root: usize, protected: &Bitset) {
         self.stack.clear();
         self.pre[root] = self.order.len() as u32;
         self.order.push(root);
         self.stack.push((root, 0));
         while let Some(&(node, cursor)) = self.stack.last() {
-            let children = wt.tree.children(node);
+            let children = tree.children(node);
             let mut next_child = None;
             let mut cur = cursor;
             while cur < children.len() {
@@ -411,7 +408,7 @@ impl Decomposition {
                 // Post-order exit: every member child has finished, so
                 // size and protection aggregate in O(children).
                 self.size[node] = (self.order.len() - self.pre[node] as usize) as u32;
-                let mut prot = protected.contains(&node);
+                let mut prot = protected.contains(node);
                 if !prot {
                     prot = children
                         .iter()
@@ -472,7 +469,7 @@ pub mod reference {
 
     /// Reference SCS. See [`super::clip`].
     pub fn clip(
-        wt: &WeightedTree,
+        wt: &mut WeightedTree<'_>,
         te: &mut BTreeSet<usize>,
         te_root: usize,
         protected: &BTreeSet<usize>,
@@ -553,7 +550,7 @@ mod tests {
     ///     1  4  6
     ///    /\  |   \
     ///   2 3  5    7
-    fn wt(weights: Vec<f64>) -> WeightedTree {
+    fn wt(weights: Vec<f64>) -> WeightedTree<'static> {
         let tree = DepTree::from_parents(vec![
             None,
             Some(0),
@@ -564,18 +561,18 @@ mod tests {
             Some(0),
             Some(6),
         ]);
-        WeightedTree { tree, weights }
+        WeightedTree::with_weights(tree, weights)
     }
 
-    fn uniform_wt() -> WeightedTree {
+    fn uniform_wt() -> WeightedTree<'static> {
         wt(vec![0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
     }
 
     #[test]
     fn grow_single_tree_is_identity() {
-        let w = uniform_wt();
+        let mut w = uniform_wt();
         let forest = efc::construct(&w.tree, &[2], &[]);
-        let (nodes, root, steps) = grow(&w, &forest);
+        let (nodes, root, steps) = grow(&mut w, &forest);
         assert_eq!(nodes, BTreeSet::from([1, 2]));
         assert_eq!(root, 1);
         assert!(steps.is_empty());
@@ -583,11 +580,11 @@ mod tests {
 
     #[test]
     fn grow_connects_two_trees() {
-        let w = uniform_wt();
+        let mut w = uniform_wt();
         // Trees: {1,2} (seed 2) and {6,7} (seed 7). Connecting requires
         // growing to the root's full subtree.
         let forest = efc::construct(&w.tree, &[2], &[7]);
-        let (nodes, root, steps) = grow(&w, &forest);
+        let (nodes, root, steps) = grow(&mut w, &forest);
         assert_eq!(root, 0);
         assert_eq!(nodes, BTreeSet::from([0, 1, 2, 3, 4, 5, 6, 7]));
         assert!(!steps.is_empty());
@@ -599,18 +596,18 @@ mod tests {
     fn grow_prefers_max_weight_root() {
         // Tree {1,2} has root 1 with weight 0.9; tree {6,7} root 6 with
         // weight 0.2 — SGS must grow the 0.9 tree first.
-        let w = wt(vec![0.0, 0.9, 0.5, 0.5, 0.5, 0.5, 0.2, 0.5]);
+        let mut w = wt(vec![0.0, 0.9, 0.5, 0.5, 0.5, 0.5, 0.2, 0.5]);
         let forest = efc::construct(&w.tree, &[2], &[7]);
-        let (_, _, steps) = grow(&w, &forest);
+        let (_, _, steps) = grow(&mut w, &forest);
         assert_eq!(steps[0].chosen_root, 1);
         assert!((steps[0].weight - 0.9).abs() < 1e-12);
     }
 
     #[test]
     fn grow_result_contains_all_forest_nodes_and_is_connected() {
-        let w = uniform_wt();
+        let mut w = uniform_wt();
         let forest = efc::construct(&w.tree, &[3, 5], &[7]);
-        let (nodes, root, _) = grow(&w, &forest);
+        let (nodes, root, _) = grow(&mut w, &forest);
         for n in forest.all_nodes() {
             assert!(nodes.contains(&n));
         }
@@ -621,6 +618,16 @@ mod tests {
                 assert!(nodes.contains(&w.tree.parent(n).unwrap()));
             }
         }
+    }
+
+    #[test]
+    fn sgs_reads_stop_below_the_common_ancestor() {
+        let w = uniform_wt();
+        let reads = |roots: &[usize]| sgs_reads(&w.tree, roots.iter().copied());
+        assert_eq!(reads(&[2, 7]), vec![2, 1, 7, 6]);
+        assert_eq!(reads(&[2, 3]), vec![2, 3]);
+        assert_eq!(reads(&[1, 3]), vec![1, 3]);
+        assert_eq!(reads(&[5, 4, 7]), vec![5, 4, 4, 7, 6]);
     }
 
     #[test]
@@ -635,9 +642,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty forest")]
     fn grow_empty_forest_panics() {
-        let w = uniform_wt();
+        let mut w = uniform_wt();
         let forest = EvidenceForest::default();
-        let _ = grow(&w, &forest);
+        let _ = grow(&mut w, &forest);
     }
 
     // -- optimized clip vs the paper-literal reference oracle ------------
@@ -713,7 +720,7 @@ mod tests {
             let weights: Vec<f64> = (0..n)
                 .map(|i| if i == 0 { 0.0 } else { rng.unit().max(1e-6) })
                 .collect();
-            let wt = WeightedTree { tree, weights };
+            let mut wt = WeightedTree::with_weights(tree, weights);
             // A document with exactly n single-word tokens.
             let text: Vec<&str> = (0..n)
                 .map(|i| ORACLE_WORDS[i % ORACLE_WORDS.len()])
@@ -744,11 +751,18 @@ mod tests {
                 te.iter().copied().filter(|_| rng.below(4) == 0).collect();
             for mode in [ClipMode::WhileImproving { max: 8 }, ClipMode::Fixed(2)] {
                 let mut te_ref = te.clone();
-                let steps_ref =
-                    reference::clip(&wt, &mut te_ref, te_root, &protected, &scorer, &aos, mode);
+                let steps_ref = reference::clip(
+                    &mut wt,
+                    &mut te_ref,
+                    te_root,
+                    &protected,
+                    &scorer,
+                    &aos,
+                    mode,
+                );
                 let mut te_opt = te.clone();
-                let steps_opt = clip(
-                    &wt,
+                let (steps_opt, _) = clip(
+                    &mut wt,
                     &mut te_opt,
                     te_root,
                     &protected,
@@ -794,7 +808,7 @@ mod tests {
             let weights: Vec<f64> = (0..n)
                 .map(|i| if i == 0 { 0.0 } else { rng.unit().max(1e-6) })
                 .collect();
-            let wt = WeightedTree { tree, weights };
+            let mut wt = WeightedTree::with_weights(tree, weights);
             let text: Vec<&str> = (0..n)
                 .map(|i| ORACLE_WORDS[i % ORACLE_WORDS.len()])
                 .collect();
@@ -803,15 +817,14 @@ mod tests {
             let te_root = wt.tree.root();
             let protected: BTreeSet<usize> = [te_root].into_iter().collect();
             let mut te: BTreeSet<usize> = (0..n).collect();
-            let (_, final_scores) = clip_with_options(
-                &wt,
+            let (_, final_scores) = clip(
+                &mut wt,
                 &mut te,
                 te_root,
                 &protected,
                 &scorer,
                 (&aos, &aos_ids),
                 ClipMode::WhileImproving { max: 8 },
-                false,
             );
             assert_eq!(final_scores, scorer.score_selection(&aos, &te));
         }

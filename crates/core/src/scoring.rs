@@ -29,15 +29,16 @@
 //! trials token removals of the evidence. [`SearchContext`] is the one
 //! incremental engine both run on: per document it owns the LM word ids
 //! (looked up by interned token id, [`crate::ids`]), the per-position LM
-//! scores of the current evidence, the QA span-score partials keyed by
-//! (sentence run, clue layout) ([`gced_qa::SelectionScoreCache`]), and
-//! the answer-word slots of every token ([`AnswerSlots`]). Each
-//! candidate selection is then scored with zero re-tokenization,
-//! replayed span partials for the unchanged runs
-//! ([`gced_qa::QaModel::predict_selection_span_cached`]), an Eq. 1 F1
-//! counted over the predicted span's slots without building its text,
-//! and an incremental log-prob walk
-//! ([`gced_lm::TrigramLm::log_prob_after_removal`]) — all
+//! scores of the current evidence, the QA span scorer's id tables
+//! ([`gced_qa::SelectionScoreCache`]), and the answer-word slots of
+//! every token ([`AnswerSlots`]). Each candidate selection is then
+//! scored with zero re-tokenization, an Eq. 1 F1 counted over the
+//! predicted span's slots without building its text, and an incremental
+//! log-prob walk ([`gced_lm::TrigramLm::log_prob_after_removal`]). The
+//! grow search replays memoized span partials for the runs its trials
+//! share ([`gced_qa::QaModel::predict_selection_span_cached`]); the clip
+//! search's removals rarely repeat a run, so it scores every run afresh
+//! ([`gced_qa::QaModel::predict_selection_span_fresh`]). All of it is
 //! **bitwise-identical** to scoring the selection from scratch, the
 //! invariant the grow- and clip-search oracle tests pin down.
 
@@ -261,10 +262,10 @@ impl<'a> EvidenceScorer<'a> {
 ///
 /// * **masked document projections** — QA predictions run over token
 ///   selections of the original analysis, never a re-tokenization;
-/// * **QA span-score partials** keyed by (sentence run, clue layout)
-///   ([`gced_qa::SelectionScoreCache`]) — near-identical selections
-///   (adjacent grow trials, consecutive clip iterations) re-score only
-///   the runs that changed;
+/// * **QA span scoring by id** ([`gced_qa::SelectionScoreCache`]) — per
+///   token clue, lemma and IDF tables; the grow search's near-identical
+///   trials also replay span-score partials keyed by (sentence run, clue
+///   layout), re-scoring only the runs that changed;
 /// * **LM caches** — per-token LM word ids read off the id table, and
 ///   the current evidence ("base") carries per-position trigram scores
 ///   so a removal costs an incremental log-prob walk;
@@ -289,7 +290,8 @@ pub struct SearchContext<'s, 'a> {
     pos_in_base: Vec<usize>,
     /// Cached per-position LM scores of the base sequence.
     base_seq: Option<SeqScores>,
-    /// Span-score partials shared by every selection scored here.
+    /// The span scorer's id tables and scratch, and the grow search's
+    /// span-score memo.
     qa_cache: SelectionScoreCache,
 }
 
@@ -329,8 +331,8 @@ impl<'s, 'a> SearchContext<'s, 'a> {
         slots.prediction_f1(aos, selected, span, scorer.answer)
     }
 
-    /// Cache-effectiveness counters of the span-score cache:
-    /// (runs replayed, runs scored fresh).
+    /// Cache-effectiveness counters of the grow search's span-score
+    /// memo: (runs replayed, runs scored fresh).
     pub fn span_cache_stats(&self) -> (u64, u64) {
         (self.qa_cache.run_hits, self.qa_cache.run_misses)
     }
@@ -363,36 +365,20 @@ impl<'s, 'a> SearchContext<'s, 'a> {
         &self.base
     }
 
-    /// Score the base selection itself (through the span-score cache).
+    /// Score the base selection itself.
     pub fn score_base(&mut self, scratch: &mut ScoreScratch) -> EvidenceScores {
-        self.score_removal_cached(&[], scratch)
+        self.score_removal(&[], scratch)
     }
 
     /// Score the evidence obtained by removing `removed` (a sorted set
     /// of token indices, all members of the base) from the base.
-    ///
-    /// This is the *uncached* form (`&self`), used where the context is
-    /// shared across worker threads (the parallel clip fan-out);
-    /// sequential callers use [`SearchContext::score_removal_cached`],
-    /// which produces bitwise-identical scores through the span cache.
-    pub fn score_removal(&self, removed: &[usize], scratch: &mut ScoreScratch) -> EvidenceScores {
-        self.stage_removal(removed, scratch);
-        let informativeness = self.informativeness_of_remaining(scratch);
-        let ppl = self.remaining_perplexity(scratch);
-        self.scorer
-            .assemble(informativeness, scratch.indices.len(), ppl)
-    }
-
-    /// [`SearchContext::score_removal`] through the span-score cache:
-    /// runs unchanged since earlier selections replay their memoized
-    /// best span instead of re-scoring.
-    pub fn score_removal_cached(
+    pub fn score_removal(
         &mut self,
         removed: &[usize],
         scratch: &mut ScoreScratch,
     ) -> EvidenceScores {
         self.stage_removal(removed, scratch);
-        let informativeness = self.informativeness_of_remaining_cached(scratch);
+        let informativeness = self.informativeness_of_remaining(scratch);
         let ppl = self.remaining_perplexity(scratch);
         self.scorer
             .assemble(informativeness, scratch.indices.len(), ppl)
@@ -429,20 +415,9 @@ impl<'s, 'a> SearchContext<'s, 'a> {
             .perplexity_after_removal(base_seq, &scratch.removed_pos)
     }
 
-    fn informativeness_of_remaining(&self, scratch: &mut ScoreScratch) -> f64 {
-        let pred = self.scorer.qa.predict_selection(
-            &self.scorer.q_analysis,
-            self.aos,
-            &scratch.indices,
-            self.scorer.question,
-            &mut scratch.qa,
-        );
-        self.slots
-            .prediction_f1(self.aos, &scratch.indices, pred.span, self.scorer.answer)
-    }
-
-    /// Cached twin of [`SearchContext::informativeness_of_remaining`].
-    fn informativeness_of_remaining_cached(&mut self, scratch: &ScoreScratch) -> f64 {
+    /// Informativeness of the staged remaining selection, every run
+    /// scored afresh (no span-score memo).
+    fn informativeness_of_remaining(&mut self, scratch: &ScoreScratch) -> f64 {
         let SearchContext {
             scorer,
             aos,
@@ -450,7 +425,7 @@ impl<'s, 'a> SearchContext<'s, 'a> {
             qa_cache,
             ..
         } = self;
-        let span = scorer.qa.predict_selection_span_cached(
+        let span = scorer.qa.predict_selection_span_fresh(
             &scorer.q_analysis,
             aos,
             &scratch.indices,
@@ -460,7 +435,7 @@ impl<'s, 'a> SearchContext<'s, 'a> {
         slots.prediction_f1(aos, &scratch.indices, span, scorer.answer)
     }
 
-    /// [`SearchContext::score_removal_cached`] with an exact
+    /// [`SearchContext::score_removal`] with an exact
     /// competitiveness prune: the conciseness and readability terms are
     /// cheap (O(1) and an incremental LM walk), and informativeness is
     /// bounded by 1, so when `α·1 + β·R + γ·C < floor` the QA
@@ -503,7 +478,7 @@ impl<'s, 'a> SearchContext<'s, 'a> {
         if upper_bound < floor {
             return None;
         }
-        let informativeness = self.informativeness_of_remaining_cached(scratch);
+        let informativeness = self.informativeness_of_remaining(scratch);
         Some(EvidenceScores {
             informativeness,
             conciseness_raw: 1.0 / remaining as f64,
@@ -836,10 +811,22 @@ mod tests {
                 .filter(|i| !removed.contains(i))
                 .collect();
             let one_shot = s.score_selection(&aos, &remaining);
+            let memo_before = ds.span_cache_stats();
             let incremental = ds.score_removal(&removed, &mut scratch);
+            assert_eq!(
+                ds.span_cache_stats(),
+                memo_before,
+                "removals bypass the memo"
+            );
             assert_eq!(one_shot, incremental, "removal {removed:?}");
-            let through_cache = ds.score_removal_cached(&removed, &mut scratch);
-            assert_eq!(one_shot, through_cache, "cached removal {removed:?}");
+            // The grow search's memoized path over the same selection.
+            let sel: Vec<usize> = remaining.iter().copied().collect();
+            let through_cache = ds.informativeness_of(&sel);
+            assert_eq!(
+                one_shot.informativeness.to_bits(),
+                through_cache.to_bits(),
+                "cached removal {removed:?}"
+            );
             // With no floor nothing is pruned: a surviving removal is
             // bitwise the full score, a discarded one is −∞.
             let competitive = ds

@@ -11,21 +11,22 @@
 //! The quantity GCED consumes is the **token-to-token attention
 //! probability matrix**. Following the paper, the per-head softmax
 //! scores are averaged over heads:
-//! [`MultiHeadAttention::attention_matrix`] returns every entry, and
-//! [`MultiHeadAttention::attention_entries`] returns only the entries
-//! a caller reads (WSPTC reads two per tree edge). The full Eq. 8
-//! output (concat + `Wo`) is [`MultiHeadAttention::encode`].
+//! [`MultiHeadAttention::attention_matrix`] returns every row, and
+//! [`MultiHeadAttention::attention_rows`] returns only the rows a
+//! caller reads (WSPTC reads the two endpoint rows of each tree edge
+//! the search consults). The full Eq. 8 output (concat + `Wo`) is
+//! [`MultiHeadAttention::encode`].
 //!
 //! Both probability entry points run one pass, which is two panel GEMMs
 //! ([`crate::kernels::gemm_panels`]) and a head-vectorized softmax:
 //!
 //! 1. the score kernels `C_h`, packed once with columns in `(j, h)`
-//!    order, give `P = X·C`, in which query row `i` is a `[j][h]` panel;
-//! 2. `S = X·[P_i0 | … | P_i1]` scores a block of queries against every
-//!    key under every head;
+//!    order, give `P = X_b·C` for a gathered block `X_b` of query rows,
+//!    in which each query row is a `[j][h]` panel;
+//! 2. `S = X·[P_0 | … | P_nb]` scores the block against every key under
+//!    every head;
 //! 3. the softmax runs down the keys with sixteen heads in one
-//!    register. The divide and the in-order head average are done only
-//!    for the entries that are read.
+//!    register, then the divide and the in-order head average.
 //!
 //! Every reduction uses the fixed 8-lane tree and the canonical
 //! softmax order, so both are bitwise-identical to the materialized
@@ -237,8 +238,8 @@ impl MultiHeadAttention {
     /// Eq. 7 attention probabilities, averaged over all heads:
     /// `A[i][j]` = mean_h softmax_j(Q_h(i)·K_h(j)/√d_k). Rows sum to 1.
     ///
-    /// Every entry, through the same blocked pass as
-    /// [`MultiHeadAttention::attention_entries`]. Bitwise-equal to
+    /// Every row, through the same gathered pass as
+    /// [`MultiHeadAttention::attention_rows`]. Bitwise-equal to
     /// [`crate::reference::attention_matrix`].
     pub fn attention_matrix(&self, x: &Matrix) -> Matrix {
         self.attention_matrix_on(Kernel::detect(), x)
@@ -249,90 +250,72 @@ impl MultiHeadAttention {
     /// lacks it.
     pub fn attention_matrix_on(&self, kernel: Kernel, x: &Matrix) -> Matrix {
         let n = x.rows();
+        let rows: Vec<usize> = (0..n).collect();
         let inv = 1.0 / self.config.heads as f32;
         let mut avg = Matrix::zeros(n, n);
-        self.attention_blocks(
-            kernel,
-            x,
-            |_| true,
-            |i, probs| {
-                for (t, a) in avg.row_mut(i).iter_mut().enumerate() {
-                    *a = probs.mean(t, inv);
-                }
-            },
-        );
+        self.attention_blocks(kernel, x, &rows, |k, probs| {
+            for (t, a) in avg.row_mut(k).iter_mut().enumerate() {
+                *a = probs.mean(t, inv);
+            }
+        });
         avg
     }
 
-    /// The entries `A[r][c]` of [`MultiHeadAttention::attention_matrix`]
-    /// for each requested `(r, c)`, in request order — bitwise equal to
-    /// `attention_matrix(x).get(r, c)`. Pairs may repeat and come in any
-    /// order.
+    /// The rows `A[r]` of [`MultiHeadAttention::attention_matrix`] for
+    /// each requested `r`, written in request order to `out` (row `k`
+    /// of the request at `out[k·n..(k + 1)·n]`) — bitwise equal to the
+    /// full matrix's rows. Rows may repeat and come in any order.
     ///
-    /// A query row's softmax needs its whole score row, so every
-    /// requested row is scored in full; what is skipped is every
-    /// unrequested query block, the divide and head average of every
-    /// unrequested entry, and the `n × n` result. WSPTC reads
-    /// `2(n − 1)` entries of the `n²`. Panics on an index outside `x`'s
-    /// rows.
-    pub fn attention_entries(&self, x: &Matrix, pairs: &[(usize, usize)]) -> Vec<f32> {
-        self.attention_entries_on(Kernel::detect(), x, pairs)
+    /// Only the requested query rows are scored: WSPTC reads the rows
+    /// of a tree edge's two endpoints, and the search reads a few edges.
+    /// Panics on a row outside `x` or an `out` of the wrong length.
+    pub fn attention_rows(&self, x: &Matrix, rows: &[usize], out: &mut [f32]) {
+        self.attention_rows_on(Kernel::detect(), x, rows, out)
     }
 
-    /// [`MultiHeadAttention::attention_entries`] on an explicit kernel
+    /// [`MultiHeadAttention::attention_rows`] on an explicit kernel
     /// family; panics if the host lacks it.
-    pub fn attention_entries_on(
-        &self,
-        kernel: Kernel,
-        x: &Matrix,
-        pairs: &[(usize, usize)],
-    ) -> Vec<f32> {
+    pub fn attention_rows_on(&self, kernel: Kernel, x: &Matrix, rows: &[usize], out: &mut [f32]) {
         let n = x.rows();
-        for &(r, c) in pairs {
-            assert!(r < n && c < n, "attention entry ({r}, {c}) outside {n}x{n}");
+        for &r in rows {
+            assert!(r < n, "attention row {r} outside {n}x{n}");
         }
-        // Request indices grouped by query row.
-        let mut by_row: Vec<usize> = (0..pairs.len()).collect();
-        by_row.sort_unstable_by_key(|&e| pairs[e].0);
-        let first_at = |row: usize| by_row.partition_point(|&e| pairs[e].0 < row);
-        let inv = 1.0 / self.config.heads as f32;
-        let mut out = vec![0.0f32; pairs.len()];
-        self.attention_blocks(
-            kernel,
-            x,
-            |rows| {
-                let lo = first_at(rows.start);
-                lo < by_row.len() && pairs[by_row[lo]].0 < rows.end
-            },
-            |i, probs| {
-                for &e in by_row[first_at(i)..]
-                    .iter()
-                    .take_while(|&&e| pairs[e].0 == i)
-                {
-                    out[e] = probs.mean(pairs[e].1, inv);
-                }
-            },
+        assert_eq!(
+            out.len(),
+            rows.len() * n,
+            "attention_rows: out is not {}x{n}",
+            rows.len()
         );
-        out
+        let inv = 1.0 / self.config.heads as f32;
+        self.attention_blocks(kernel, x, rows, |k, probs| {
+            for (t, a) in out[k * n..(k + 1) * n].iter_mut().enumerate() {
+                *a = probs.mean(t, inv);
+            }
+        });
     }
 
     /// The one attention pass behind [`MultiHeadAttention::attention_matrix`]
-    /// and [`MultiHeadAttention::attention_entries`], over blocks of
-    /// [`QUERY_BLOCK`] query rows (`wanted` skips a block; `visit` reads
-    /// each query row's head probabilities):
+    /// and [`MultiHeadAttention::attention_rows`], over blocks of up to
+    /// [`QUERY_BLOCK`] requested query rows (`visit(k, probs)` reads the
+    /// head probabilities of `rows[k]`):
     ///
-    /// 1. `P = X_block · C` ([`kernels::gemm_panels`] on the packed score
-    ///    kernels) leaves query row `i` as `d_model × head_slots` panels
-    ///    holding `(X·C_h)[i][j]` at `[j][h]`;
-    /// 2. `S = X · [P_i0 | … | P_i1]` (the panels, as they lie) gives
-    ///    `S[t][b·head_slots + h]`, the score of query `i0 + b` against
-    ///    key `t` under head `h` — `fma(X[t][j], P[i][j])` is
-    ///    `fma(P[i][j], X[t][j])`, so each is the oracle's
-    ///    `dot((X·C_h)[i], X[t])`;
+    /// 1. the block's rows of `X` are gathered into one contiguous
+    ///    operand `X_b`, and `P = X_b · C` ([`kernels::gemm_panels`] on
+    ///    the packed score kernels) leaves query row `b` as
+    ///    `d_model × head_slots` panels holding `(X·C_h)[r][j]` at
+    ///    `[j][h]`;
+    /// 2. `S = X · [P_0 | … | P_nb]` (the panels, as they lie) gives
+    ///    `S[t][b·head_slots + h]`, the score of query `rows[b]` against
+    ///    key `t` under head `h` — `fma(X[t][j], P[b][j])` is
+    ///    `fma(P[b][j], X[t][j])`, so each is the oracle's
+    ///    `dot((X·C_h)[r], X[t])`;
     /// 3. [`kernels::softmax_heads`] scales, takes the running max,
     ///    exponentiates and sums over `t` with sixteen heads per
-    ///    register; the divide is left to [`QueryProbs::mean`], so only
-    ///    the entries a caller reads pay for it.
+    ///    register; the divide is left to [`QueryProbs::mean`].
+    ///
+    /// Each output element's 8-lane reduction depends only on its own
+    /// row and column, never on its position in the block, so which
+    /// rows share a block does not change a bit.
     ///
     /// Scratch is `O(block·d_model·heads + n·block·heads)`, never
     /// `O(n²·heads)`.
@@ -340,26 +323,27 @@ impl MultiHeadAttention {
         &self,
         kernel: Kernel,
         x: &Matrix,
-        mut wanted: impl FnMut(std::ops::Range<usize>) -> bool,
+        rows: &[usize],
         mut visit: impl FnMut(usize, QueryProbs<'_>),
     ) {
         let n = x.rows();
         let d = self.config.d_model;
         let hs = self.head_slots;
         let scale = 1.0 / (self.config.d_k as f32).sqrt();
-        let block = n.min(QUERY_BLOCK);
-        let mut p = vec![0.0f32; block * d * hs];
-        let mut s = vec![0.0f32; n * block * hs];
-        let mut sums = vec![0.0f32; hs];
-        for i0 in (0..n).step_by(QUERY_BLOCK) {
-            let i1 = (i0 + QUERY_BLOCK).min(n);
-            if !wanted(i0..i1) {
-                continue;
+        let block = rows.len().min(QUERY_BLOCK);
+        // One scratch allocation: gathered rows, panels, scores, sums.
+        let mut buf = vec![0.0f32; block * d * (1 + hs) + n * block * hs + hs];
+        let (xb, rest) = buf.split_at_mut(block * d);
+        let (p, rest) = rest.split_at_mut(block * d * hs);
+        let (s, sums) = rest.split_at_mut(n * block * hs);
+        for (c, chunk) in rows.chunks(QUERY_BLOCK).enumerate() {
+            let nb = chunk.len();
+            let xb = &mut xb[..nb * d];
+            for (dst, &r) in xb.chunks_exact_mut(d).zip(chunk) {
+                dst.copy_from_slice(x.row(r));
             }
-            let nb = i1 - i0;
             let p = &mut p[..nb * d * hs];
-            let rows = &x.as_slice()[i0 * d..i1 * d];
-            kernels::gemm_panels(kernel, rows, nb, d, &self.score_panels, d * hs, p);
+            kernels::gemm_panels(kernel, xb, nb, d, &self.score_panels, d * hs, p);
             let ld = nb * hs;
             let s = &mut s[..n * ld];
             kernels::gemm_panels(kernel, x.as_slice(), n, d, p, ld, s);
@@ -376,12 +360,12 @@ impl MultiHeadAttention {
                 }
                 let probs = QueryProbs {
                     exps: s,
-                    sums: &sums,
+                    sums,
                     stride: ld,
                     offset: b * hs,
                     heads: self.config.heads,
                 };
-                visit(i0 + b, probs);
+                visit(c * QUERY_BLOCK + b, probs);
             }
         }
     }
@@ -500,6 +484,33 @@ mod tests {
             let s: f32 = a.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-4, "row {r} sums to {s}");
             assert!(a.row(r).iter().all(|&v| v >= 0.0));
+        }
+    }
+
+    #[test]
+    fn gathered_rows_equal_the_reference_matrix_on_the_portable_kernel() {
+        let (mha, table) = default_layer();
+        let ws = words(&["the", "broncos", "defeated", "the", "panthers"]);
+        let x = mha.embed_sequence(&ws, &table);
+        let want = crate::reference::attention_matrix(&mha, &x);
+        for rows in [
+            vec![],
+            vec![3],
+            vec![4, 0, 2],
+            vec![1, 1],
+            vec![0, 1, 2, 3, 4],
+        ] {
+            let mut got = vec![0.0f32; rows.len() * 5];
+            mha.attention_rows_on(Kernel::Portable, &x, &rows, &mut got);
+            for (k, &r) in rows.iter().enumerate() {
+                for c in 0..5 {
+                    assert_eq!(
+                        got[k * 5 + c].to_bits(),
+                        want.get(r, c).to_bits(),
+                        "{rows:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -1149,14 +1149,40 @@ pub fn head_mean(exps: &[f32], sums: &[f32], inv: f32) -> f32 {
 }
 
 /// Sequential f64 fold `acc + Σ xᵢ·wᵢ` — the span-score dot product of
-/// the QA model. One definition, used by both the view-global scorer
-/// (`gced_qa::model`) and the incremental run cache
-/// (`gced_qa::incremental`), so the two paths cannot drift: their
-/// bit-equality contract *is* this function.
+/// the QA model. The view-global scorer (`gced_qa::model`) calls it, and
+/// the incremental run cache (`gced_qa::incremental`) folds eight spans
+/// at once with [`fold_dot_f64_lanes`], lane for lane this function, so
+/// the two paths cannot drift: their bit-equality contract *is* this
+/// function.
 #[inline]
 pub fn fold_dot_f64(mut acc: f64, xs: &[f64], ws: &[f64]) -> f64 {
     for (x, w) in xs.iter().zip(ws) {
         acc += x * w;
+    }
+    acc
+}
+
+/// Lanes of [`fold_dot_f64_lanes`]: eight f64 are one AVX-512
+/// register, or two AVX2 registers.
+pub const F64_LANES: usize = 8;
+
+/// [`fold_dot_f64`] on [`F64_LANES`] vectors at once, stored
+/// element-major: `xs[k][l]` is element `k` of lane `l`. Lane `l` of
+/// the result is exactly `fold_dot_f64(acc[l], &[xs[0][l], xs[1][l], …],
+/// ws)` — the same multiply, then add, element by element in order —
+/// so the QA span scorer can fold eight spans side by side without a
+/// bit changing. Lanes past the caller's last vector hold whatever was
+/// left there and are ignored by the caller.
+#[inline]
+pub fn fold_dot_f64_lanes(
+    mut acc: [f64; F64_LANES],
+    xs: &[[f64; F64_LANES]],
+    ws: &[f64],
+) -> [f64; F64_LANES] {
+    for (x, &w) in xs.iter().zip(ws) {
+        for (a, &v) in acc.iter_mut().zip(x) {
+            *a += v * w;
+        }
     }
     acc
 }
@@ -1353,5 +1379,35 @@ mod tests {
             want += x * w;
         }
         assert_eq!(fold_dot_f64(0.0, &xs, &ws).to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn fold_dot_lanes_equal_fold_dot_per_lane() {
+        // Eleven vectors of fourteen elements: one full group of eight
+        // and a partial last group of three, as the span scorer folds
+        // them, each group twice (a base block, then a second block).
+        let k = 14;
+        let vecs: Vec<Vec<f64>> = (0..11)
+            .map(|v| {
+                (0..k)
+                    .map(|e| ((v * 31 + e * 7) as f64).sin() * 3.0)
+                    .collect()
+            })
+            .collect();
+        let wb: Vec<f64> = (0..k).map(|e| (e as f64 * 0.37).cos()).collect();
+        let ww: Vec<f64> = (0..k).map(|e| 1.0 / (e as f64 + 0.3)).collect();
+        for group in vecs.chunks(F64_LANES) {
+            let mut xs = vec![[f64::NAN; F64_LANES]; k];
+            for (l, v) in group.iter().enumerate() {
+                for (e, &x) in v.iter().enumerate() {
+                    xs[e][l] = x;
+                }
+            }
+            let got = fold_dot_f64_lanes(fold_dot_f64_lanes([0.0; F64_LANES], &xs, &wb), &xs, &ww);
+            for (l, v) in group.iter().enumerate() {
+                let want = fold_dot_f64(fold_dot_f64(0.0, v, &wb), v, &ww);
+                assert_eq!(got[l].to_bits(), want.to_bits(), "lane {l}");
+            }
+        }
     }
 }

@@ -26,7 +26,7 @@
 //!   output projection; plus sinusoidal position encodings so locality
 //!   shows up in the weights just as it does in layer-1 BERT heads. The
 //!   attention probabilities run on two panel GEMMs per block of
-//!   queries, and a caller can ask for just the entries it reads;
+//!   queries, and a caller can ask for just the rows it reads;
 //! * [`reference`] — the paper-literal scalar oracle those fused passes
 //!   are property-tested against, **bitwise**, on every shape.
 //!

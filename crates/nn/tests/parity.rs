@@ -446,38 +446,34 @@ fn softmax_heads_columns_match_reference_rows() {
     }
 }
 
-fn entries_match_reference(
-    n: usize,
+/// Every requested row of `attention_rows` ≡ the oracle's matrix row,
+/// on every kernel family, plus `attention_matrix` itself.
+fn rows_match_reference(
     d_model: usize,
     heads: usize,
     d_k: usize,
     seed: u64,
     x: &Matrix,
+    requests: &[Vec<usize>],
 ) {
+    let n = x.rows();
     let mha = layer(d_model, heads, d_k, seed);
     let want = reference::attention_matrix(&mha, x);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
-    // Tree-shaped requests (both directions of a chain), then random
-    // pairs: duplicates and any order.
-    let mut pairs: Vec<(usize, usize)> = (1..n).flat_map(|i| [(i - 1, i), (i, i - 1)]).collect();
-    if n > 0 {
-        for _ in 0..2 * n {
-            let r = (rng.gen::<f32>() * n as f32) as usize % n;
-            let c = (rng.gen::<f32>() * n as f32) as usize % n;
-            pairs.push((r, c));
-        }
-        pairs.push(pairs[0]);
-    }
     for kernel in kernels_here() {
-        let got = mha.attention_entries_on(kernel, x, &pairs);
-        assert_eq!(got.len(), pairs.len());
-        for (&(r, c), g) in pairs.iter().zip(&got) {
-            assert_eq!(
-                g.to_bits(),
-                want.get(r, c).to_bits(),
-                "{kernel:?} n={n} d={d_model} H={heads} entry ({r}, {c}): {g} vs {}",
-                want.get(r, c)
-            );
+        for rows in requests {
+            let mut got = vec![f32::NAN; rows.len() * n];
+            mha.attention_rows_on(kernel, x, rows, &mut got);
+            for (k, &r) in rows.iter().enumerate() {
+                for c in 0..n {
+                    let g = got[k * n + c];
+                    assert_eq!(
+                        g.to_bits(),
+                        want.get(r, c).to_bits(),
+                        "{kernel:?} n={n} d={d_model} H={heads} rows {rows:?}: ({r}, {c}) {g} vs {}",
+                        want.get(r, c)
+                    );
+                }
+            }
         }
         assert_bitwise(
             &mha.attention_matrix_on(kernel, x),
@@ -486,22 +482,51 @@ fn entries_match_reference(
         );
     }
     let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
-    assert_eq!(
-        bits(mha.attention_entries(x, &pairs)),
-        bits(mha.attention_entries_on(Kernel::detect(), x, &pairs))
-    );
+    for rows in requests {
+        let mut a = vec![0.0f32; rows.len() * n];
+        let mut b = vec![0.0f32; rows.len() * n];
+        mha.attention_rows(x, rows, &mut a);
+        mha.attention_rows_on(Kernel::detect(), x, rows, &mut b);
+        assert_eq!(bits(a), bits(b));
+    }
+}
+
+/// Row requests over `0..n`: empty, each single row at the block and
+/// tile edges, every row, random subsets in random order (repeats
+/// included) and a tree-edge-shaped pair list.
+fn row_requests(n: usize, seed: u64) -> Vec<Vec<usize>> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(), (0..n).collect()];
+    if n == 0 {
+        return out;
+    }
+    for r in [0, 1, 2, 15, 16, 17, n - 1] {
+        if r < n {
+            out.push(vec![r]);
+        }
+    }
+    for _ in 0..3 {
+        let len = 1 + (rng.gen::<f32>() * n as f32) as usize % n;
+        out.push(
+            (0..len)
+                .map(|_| (rng.gen::<f32>() * n as f32) as usize % n)
+                .collect(),
+        );
+    }
+    out.push((1..n).flat_map(|i| [i, i - 1]).collect());
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// `attention_entries` ≡ the oracle's matrix on the requested
-    /// entries, on every kernel family: n crosses the 3-row tile, the
-    /// 16-query block and the 16-column panel; d_model sits off the 8/16
-    /// grid; heads pad to one or two panels.
+    /// `attention_rows` ≡ the oracle's matrix rows on every kernel
+    /// family: n crosses the 3-row tile (1- and 2-row tails), the
+    /// 16-query block and the 16-column panel; d_model sits off the
+    /// 8/16 grid; heads pad to one or two panels.
     #[test]
-    fn attention_entries_match_reference(
-        n in 0usize..40,
+    fn attention_rows_match_reference(
+        n in 1usize..=80,
         d_model in 1usize..34,
         head_pick in 0usize..4,
         d_k in 1usize..10,
@@ -509,12 +534,12 @@ proptest! {
     ) {
         let heads = [1, 2, 16, 17][head_pick];
         let x = rand_matrix(n, d_model, seed ^ 0x1234);
-        entries_match_reference(n, d_model, heads, d_k, seed, &x);
+        rows_match_reference(d_model, heads, d_k, seed, &x, &row_requests(n, seed));
     }
 }
 
 #[test]
-fn attention_entries_on_tile_edges_and_paper_shape() {
+fn attention_rows_on_tile_edges_and_paper_shape() {
     for (n, d_model, heads) in [
         (1, 64, 16),
         (2, 9, 17),
@@ -522,29 +547,32 @@ fn attention_entries_on_tile_edges_and_paper_shape() {
         (16, 64, 16),
         (17, 17, 2),
         (33, 64, 16),
+        (80, 64, 16),
     ] {
         let x = rand_matrix(n, d_model, (n * 7 + d_model) as u64);
-        entries_match_reference(n, d_model, heads, 64, 99, &x);
+        rows_match_reference(d_model, heads, 64, 99, &x, &row_requests(n, n as u64));
     }
 }
 
 #[test]
-fn attention_entries_through_nan_and_inf() {
+fn attention_rows_through_nan_and_inf() {
     let mut x = rand_matrix(19, 20, 61);
     x.set(2, 3, f32::NAN);
     x.set(7, 0, f32::INFINITY);
     x.set(11, 19, f32::NEG_INFINITY);
-    entries_match_reference(19, 20, 17, 8, 62, &x);
-    entries_match_reference(19, 20, 16, 8, 63, &x);
+    rows_match_reference(20, 17, 8, 62, &x, &row_requests(19, 62));
+    rows_match_reference(20, 16, 8, 63, &x, &row_requests(19, 63));
 }
 
 #[test]
-fn attention_entries_empty_request_and_bounds() {
+fn attention_rows_empty_request_and_bounds() {
     let mha = layer(16, 2, 8, 3);
     let x = rand_matrix(5, 16, 4);
-    assert!(mha.attention_entries(&x, &[]).is_empty());
+    mha.attention_rows(&x, &[], &mut []);
     let empty = rand_matrix(0, 16, 4);
-    assert!(mha.attention_entries(&empty, &[]).is_empty());
-    let out = std::panic::catch_unwind(|| mha.attention_entries(&x, &[(5, 0)]));
-    assert!(out.is_err(), "an entry outside the matrix must panic");
+    mha.attention_rows(&empty, &[], &mut []);
+    let out = std::panic::catch_unwind(|| mha.attention_rows(&x, &[5], &mut [0.0; 5]));
+    assert!(out.is_err(), "a row outside the matrix must panic");
+    let out = std::panic::catch_unwind(|| mha.attention_rows(&x, &[1], &mut [0.0; 4]));
+    assert!(out.is_err(), "an output of the wrong length must panic");
 }

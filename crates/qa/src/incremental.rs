@@ -13,15 +13,22 @@
 //! to the nearest clue / verb-clue before and after the run, in view
 //! coordinates).
 //!
-//! [`SelectionScoreCache`] exploits that factorization: per-run best
-//! spans are memoized keyed by `(run, clue layout)`, so consecutive
-//! near-identical selections (adjacent greedy trials, consecutive clip
-//! iterations) re-score only the runs that actually changed. Every
-//! prediction is **bitwise identical** to
-//! [`QaModel::predict_selection`] on the same selection — the features
-//! are computed by mirrored arithmetic on the same inputs, the argmax
-//! uses the same first-strict-max rule, and the property suite pins the
-//! equivalence on randomized documents and selections.
+//! [`SelectionScoreCache`] holds the per-token id tables of one
+//! (question, document) pair and scores a run in two steps: one pass
+//! over the run fills per-run tables (previous and next clue and
+//! verb-clue positions, prefix counts, span-boundary flags), then each
+//! candidate span's fourteen features are table reads, folded eight
+//! spans at a time by [`gced_nn::kernels::fold_dot_f64_lanes`]. The
+//! grow search also memoizes per-run best spans keyed by
+//! `(run, clue layout)`, so adjacent trials re-score only the runs that
+//! changed ([`QaModel::predict_selection_span_cached`]); the clip
+//! search's removals rarely repeat a run, so it scores every run afresh
+//! without the memo ([`QaModel::predict_selection_span_fresh`]). Every
+//! prediction is **bitwise identical** to [`QaModel::predict_selection`]
+//! on the same selection — the features are computed by mirrored
+//! arithmetic on the same inputs, the argmax uses the same
+//! first-strict-max rule, and the property suite pins the equivalence on
+//! randomized documents and selections.
 //!
 //! The cache transparently falls back to the uncached path when the
 //! factorization does not hold: score-noise profiles perturb spans by
@@ -30,8 +37,8 @@
 
 use crate::features::{span_boundary, wh_block, QuestionAnalysis, N_BASE};
 use crate::model::{Prediction, QaModel, SelectionScratch, MAX_SPAN};
-use gced_nn::kernels::fold_dot_f64;
-use gced_text::{join_tokens, Document, Token};
+use gced_nn::kernels::{fold_dot_f64_lanes, F64_LANES};
+use gced_text::{join_tokens, Document, Pos, Token};
 use std::collections::HashMap;
 
 /// Absent cross-run clue distance.
@@ -58,17 +65,48 @@ struct RunBest {
     score: f64,
 }
 
-/// Context-independent data of one run, computed once per distinct run.
+/// Memoized data of one run, computed once per distinct run.
 #[derive(Debug)]
 struct RunEntry {
     /// Sentence clue coverage (feature f1) of the run.
     coverage: f64,
-    /// In-run clue positions, run-relative, ascending.
-    clues_rel: Vec<u32>,
-    /// In-run verb-clue positions, run-relative, ascending.
-    verb_clues_rel: Vec<u32>,
     /// Memoized best spans per clue layout.
     by_ctx: Vec<(CrossCtx, RunBest)>,
+}
+
+/// Per-run tables of [`score_run`], rebuilt in place for each run
+/// scored: one slot per run position `k ∈ 0..=n`.
+#[derive(Debug, Default)]
+struct RunTables {
+    slots: Vec<RunSlot>,
+    /// Features of up to [`F64_LANES`] pending spans, feature-major.
+    feats: [[f64; F64_LANES]; N_BASE],
+    /// The pending spans, run-relative.
+    spans: [(u32, u32); F64_LANES],
+}
+
+/// Run position `k`'s table entries. Positions are run-relative;
+/// `NONE` marks an absent clue.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunSlot {
+    /// The last clue position `< k`.
+    prev_clue: u32,
+    /// The first clue position `≥ k`.
+    next_clue: u32,
+    /// The last verb-clue position `< k`.
+    prev_verb: u32,
+    /// The first verb-clue position `≥ k`.
+    next_verb: u32,
+    /// Clues among the first `k` tokens (f5).
+    clues: u32,
+    /// Proper nouns among the first `k` tokens (f3, f7).
+    proper: u32,
+    /// Numbers among the first `k` tokens (f3, f8).
+    nums: u32,
+    /// Nouns or proper nouns among the first `k` tokens (f3).
+    nouns: u32,
+    /// Token `k` may start or end a span (`false` at `k = n`).
+    boundary: bool,
 }
 
 /// Scratch describing one run of the current selection.
@@ -117,6 +155,7 @@ pub struct SelectionScoreCache {
     seen_stamp: Vec<u32>,
     stamp: u32,
     key_buf: Vec<u32>,
+    tables: RunTables,
     winner_tokens: Vec<Token>,
     fallback: SelectionScratch,
 }
@@ -270,7 +309,7 @@ impl QaModel {
         if self.bypasses_cache(selected) {
             return self.predict_selection(q, doc, selected, question, &mut cache.fallback);
         }
-        let Some(((s, e), score)) = self.best_cached_span(q, doc, selected, cache) else {
+        let Some(((s, e), score)) = self.best_span_of_runs(q, doc, selected, cache, true) else {
             return Prediction::none();
         };
         cache.winner_tokens.clear();
@@ -295,12 +334,40 @@ impl QaModel {
         question: &str,
         cache: &mut SelectionScoreCache,
     ) -> Option<(usize, usize)> {
+        self.selection_span(q, doc, selected, question, cache, true)
+    }
+
+    /// [`QaModel::predict_selection_span_cached`] without the run memo:
+    /// every run is scored afresh through the cache's id tables and
+    /// scratch, and nothing is recorded. For searches whose selections
+    /// rarely repeat a `(run, clue layout)` pair — the clip search —
+    /// where the memo's keys and probes cost more than they save.
+    pub fn predict_selection_span_fresh(
+        &self,
+        q: &QuestionAnalysis,
+        doc: &Document,
+        selected: &[usize],
+        question: &str,
+        cache: &mut SelectionScoreCache,
+    ) -> Option<(usize, usize)> {
+        self.selection_span(q, doc, selected, question, cache, false)
+    }
+
+    fn selection_span(
+        &self,
+        q: &QuestionAnalysis,
+        doc: &Document,
+        selected: &[usize],
+        question: &str,
+        cache: &mut SelectionScoreCache,
+        memo: bool,
+    ) -> Option<(usize, usize)> {
         if self.bypasses_cache(selected) {
             return self
                 .predict_selection(q, doc, selected, question, &mut cache.fallback)
                 .span;
         }
-        self.best_cached_span(q, doc, selected, cache)
+        self.best_span_of_runs(q, doc, selected, cache, memo)
             .map(|(span, _)| span)
     }
 
@@ -311,13 +378,15 @@ impl QaModel {
         self.profile().noise != 0.0 || selected.len() > self.profile().window
     }
 
-    /// The cached prediction's span and score (`None` = abstain).
-    fn best_cached_span(
+    /// The prediction's span and score (`None` = abstain), through the
+    /// run memo when `memo` is set.
+    fn best_span_of_runs(
         &self,
         q: &QuestionAnalysis,
         doc: &Document,
         selected: &[usize],
         cache: &mut SelectionScoreCache,
+        memo: bool,
     ) -> Option<((usize, usize), f64)> {
         if !cache.init {
             cache.init(self, q, doc);
@@ -411,49 +480,62 @@ impl QaModel {
             }
         }
 
-        // ---- per-run best spans (memoized) ------------------------------
+        // ---- per-run best spans -----------------------------------------
         cache.bests.clear();
         for r in 0..n_runs {
             let RunRef { start, end } = cache.run_refs[r];
             let run = &selected[start..end];
             let ctx = cache.ctxs[r];
-            cache.key_buf.clear();
-            cache.key_buf.extend(run.iter().map(|&t| t as u32));
-            if !cache.runs.contains_key(cache.key_buf.as_slice()) {
-                let entry = build_run_entry(
-                    run,
-                    &cache.clue,
-                    &cache.verb_clue,
-                    &cache.cov_lemma,
-                    cache.total_content,
-                    &mut cache.seen_stamp,
-                    &mut cache.stamp,
-                );
-                cache.runs.insert(cache.key_buf.as_slice().into(), entry);
-            }
-            let entry = cache
-                .runs
-                .get_mut(cache.key_buf.as_slice())
-                .expect("run entry just ensured");
-            let best = if let Some(&(_, b)) = entry.by_ctx.iter().find(|(c, _)| *c == ctx) {
-                cache.run_hits += 1;
-                b
+            let best = if memo {
+                cache.key_buf.clear();
+                cache.key_buf.extend(run.iter().map(|&t| t as u32));
+                if !cache.runs.contains_key(cache.key_buf.as_slice()) {
+                    let entry = RunEntry {
+                        coverage: cache.run_coverage(run),
+                        by_ctx: Vec::new(),
+                    };
+                    cache.runs.insert(cache.key_buf.as_slice().into(), entry);
+                }
+                let entry = cache
+                    .runs
+                    .get_mut(cache.key_buf.as_slice())
+                    .expect("run entry just ensured");
+                if let Some(&(_, b)) = entry.by_ctx.iter().find(|(c, _)| *c == ctx) {
+                    cache.run_hits += 1;
+                    b
+                } else {
+                    cache.run_misses += 1;
+                    let _span = gced_obs::span("qa.predict");
+                    let b = score_run(
+                        self,
+                        q,
+                        doc,
+                        run,
+                        entry.coverage,
+                        &cache.clue,
+                        &cache.verb_clue,
+                        &cache.idf_val,
+                        ctx,
+                        &mut cache.tables,
+                    );
+                    entry.by_ctx.push((ctx, b));
+                    b
+                }
             } else {
-                cache.run_misses += 1;
+                let coverage = cache.run_coverage(run);
                 let _span = gced_obs::span("qa.predict");
-                let b = score_run(
+                score_run(
                     self,
                     q,
                     doc,
                     run,
-                    entry.coverage,
-                    &entry.clues_rel,
-                    &entry.verb_clues_rel,
+                    coverage,
+                    &cache.clue,
+                    &cache.verb_clue,
                     &cache.idf_val,
                     ctx,
-                );
-                entry.by_ctx.push((ctx, b));
-                b
+                    &mut cache.tables,
+                )
             };
             cache.bests.push(best);
         }
@@ -473,56 +555,97 @@ impl QaModel {
     }
 }
 
-/// Build the context-independent run data.
-fn build_run_entry(
-    run: &[usize],
-    clue: &[bool],
-    verb_clue: &[bool],
-    cov_lemma: &[u32],
-    total_content: usize,
-    seen_stamp: &mut [u32],
-    stamp: &mut u32,
-) -> RunEntry {
-    let mut clues_rel = Vec::new();
-    let mut verb_clues_rel = Vec::new();
-    // Distinct content lemmas present (feature f1's numerator).
-    *stamp = stamp.wrapping_add(1);
-    if *stamp == 0 {
-        seen_stamp.iter_mut().for_each(|s| *s = 0);
-        *stamp = 1;
-    }
-    let cov_stamp = *stamp;
-    let mut cov_present = 0usize;
-    for (rel, &t) in run.iter().enumerate() {
-        if clue[t] {
-            clues_rel.push(rel as u32);
-            if verb_clue[t] {
-                verb_clues_rel.push(rel as u32);
+impl SelectionScoreCache {
+    /// Sentence clue coverage (feature f1) of one run — mirrors
+    /// `sentence_clue_coverage` on the view sentence: distinct content
+    /// lemmas present over the content total.
+    fn run_coverage(&mut self, run: &[usize]) -> f64 {
+        if self.total_content == 0 {
+            return 0.0;
+        }
+        let stamp = self.bump_stamp();
+        let mut present = 0usize;
+        for &t in run {
+            let cid = self.cov_lemma[t];
+            if cid != NONE && self.seen_stamp[cid as usize] != stamp {
+                self.seen_stamp[cid as usize] = stamp;
+                present += 1;
             }
         }
-        let cid = cov_lemma[t];
-        if cid != NONE && seen_stamp[cid as usize] != cov_stamp {
-            seen_stamp[cid as usize] = cov_stamp;
-            cov_present += 1;
+        present as f64 / self.total_content as f64
+    }
+}
+
+impl RunTables {
+    /// Rebuild the slots for `run`: prefix counts and previous clues
+    /// forward, next clues backward.
+    fn fill(&mut self, doc: &Document, run: &[usize], clue: &[bool], verb_clue: &[bool]) {
+        let n = run.len();
+        self.slots.clear();
+        self.slots.resize(n + 1, RunSlot::default());
+        let mut acc = RunSlot {
+            prev_clue: NONE,
+            prev_verb: NONE,
+            ..RunSlot::default()
+        };
+        for (j, &t) in run.iter().enumerate() {
+            let pos = doc.tokens[t].pos;
+            self.slots[j] = RunSlot {
+                boundary: span_boundary(&pos),
+                ..acc
+            };
+            acc.clues += clue[t] as u32;
+            acc.proper += (pos == Pos::ProperNoun) as u32;
+            acc.nums += (pos == Pos::Num) as u32;
+            acc.nouns += matches!(pos, Pos::Noun | Pos::ProperNoun) as u32;
+            if clue[t] {
+                acc.prev_clue = j as u32;
+                if verb_clue[t] {
+                    acc.prev_verb = j as u32;
+                }
+            }
+        }
+        self.slots[n] = acc;
+        let (mut next_clue, mut next_verb) = (NONE, NONE);
+        for (j, slot) in self.slots.iter_mut().enumerate().rev() {
+            if j < n && clue[run[j]] {
+                next_clue = j as u32;
+                if verb_clue[run[j]] {
+                    next_verb = j as u32;
+                }
+            }
+            slot.next_clue = next_clue;
+            slot.next_verb = next_verb;
         }
     }
-    // Mirrors `sentence_clue_coverage` on the view sentence.
-    let coverage = if total_content == 0 {
-        0.0
-    } else {
-        cov_present as f64 / total_content as f64
-    };
-    RunEntry {
-        coverage,
-        clues_rel,
-        verb_clues_rel,
-        by_ctx: Vec::new(),
-    }
+}
+
+/// Distance from span start `rs` back to the in-run clue at `p`
+/// (`NONE` = no clue).
+fn dist_before(rs: usize, p: u32) -> Option<usize> {
+    (p != NONE).then(|| rs - p as usize)
+}
+
+/// Distance from span end `re` on to the in-run clue at `p` (`NONE` =
+/// no clue).
+fn dist_after(re: usize, p: u32) -> Option<usize> {
+    (p != NONE).then(|| p as usize + 1 - re)
+}
+
+/// The view distance across a run edge: `inner` tokens from the span to
+/// the run edge plus the layout distance `outer` from the edge to the
+/// clue (`NONE` = no clue on that side).
+fn dist_across(inner: usize, outer: u32) -> Option<usize> {
+    (outer != NONE).then(|| inner + outer as usize)
 }
 
 /// Score every candidate span of one run under one clue layout,
 /// returning the first strict maximum — mirrored arithmetic of
 /// `base_features_with_coverage` + `score_span` on the projected view.
+///
+/// One pass fills the run's tables; each span's features are then
+/// O(1) table reads (f6's mean IDF a running in-order sum per span
+/// start), and spans fold eight at a time, scanned in `(rs, re)` order.
 #[allow(clippy::too_many_arguments)]
 fn score_run(
     qa: &QaModel,
@@ -530,43 +653,56 @@ fn score_run(
     doc: &Document,
     run: &[usize],
     coverage: f64,
-    clues_rel: &[u32],
-    verb_clues_rel: &[u32],
+    clue: &[bool],
+    verb_clue: &[bool],
     idf_val: &[f64],
     ctx: CrossCtx,
+    t: &mut RunTables,
 ) -> RunBest {
     let n = run.len();
+    t.fill(doc, run, clue, verb_clue);
     let weights = qa.weights();
     let off = wh_block(q.wh) * N_BASE;
+    let (w_base, w_wh) = (&weights[..N_BASE], &weights[off..off + N_BASE]);
+    // The start value of `Iterator::sum` over f64, which f6 mirrors.
+    let zero: f64 = std::iter::empty::<f64>().sum();
     let mut best: Option<((u32, u32), f64)> = None;
+    let mut pending = 0usize;
+    let flush = |t: &mut RunTables, pending: usize, best: &mut Option<((u32, u32), f64)>| {
+        let scores = fold_dot_f64_lanes(
+            fold_dot_f64_lanes([0.0; F64_LANES], &t.feats, w_base),
+            &t.feats,
+            w_wh,
+        );
+        for (&span, &score) in t.spans.iter().zip(&scores).take(pending) {
+            match best {
+                Some((_, b)) if *b >= score => {}
+                _ => *best = Some((span, score)),
+            }
+        }
+    };
     for rs in 0..n {
-        if !span_boundary(&doc.tokens[run[rs]].pos) {
+        if !t.slots[rs].boundary {
             continue;
         }
         let hi = (rs + MAX_SPAN).min(n);
+        let mut idf_sum = zero;
         for re in (rs + 1)..=hi {
-            if !span_boundary(&doc.tokens[run[re - 1]].pos) {
+            idf_sum += idf_val[run[re - 1]];
+            if !t.slots[re - 1].boundary {
                 continue;
             }
-            let score = span_score(
-                q,
-                doc,
-                run,
-                coverage,
-                clues_rel,
-                verb_clues_rel,
-                idf_val,
-                ctx,
-                rs,
-                re,
-                weights,
-                off,
-            );
-            match best {
-                Some((_, b)) if b >= score => {}
-                _ => best = Some(((rs as u32, re as u32), score)),
+            span_features(q, t, n, coverage, ctx, rs, re, idf_sum, pending);
+            t.spans[pending] = (rs as u32, re as u32);
+            pending += 1;
+            if pending == F64_LANES {
+                flush(t, pending, &mut best);
+                pending = 0;
             }
         }
+    }
+    if pending > 0 {
+        flush(t, pending, &mut best);
     }
     match best {
         Some((rel, score)) => RunBest {
@@ -580,139 +716,76 @@ fn score_run(
     }
 }
 
-/// One span's score. Every feature value is produced by the same
-/// floating-point expression as the view-global path, so the resulting
-/// f64 is bit-equal; both paths contract through the shared
-/// [`fold_dot_f64`] kernel, so the dot cannot drift.
+/// Write span `[rs, re)`'s fourteen features into lane `lane`. Every
+/// value is produced by the same floating-point expression as the
+/// view-global path from the same integers, so the fold gives the same
+/// bits; `idf_sum` is the in-order IDF sum over the span.
 #[allow(clippy::too_many_arguments)]
-fn span_score(
+fn span_features(
     q: &QuestionAnalysis,
-    doc: &Document,
-    run: &[usize],
+    t: &mut RunTables,
+    n: usize,
     coverage: f64,
-    clues_rel: &[u32],
-    verb_clues_rel: &[u32],
-    idf_val: &[f64],
     ctx: CrossCtx,
     rs: usize,
     re: usize,
-    weights: &[f64; crate::features::N_FEATURES],
-    off: usize,
-) -> f64 {
-    use gced_text::Pos;
+    idf_sum: f64,
+    lane: usize,
+) {
     let len = re - rs;
-    let mut f = [0.0f64; N_BASE];
-    f[0] = 1.0;
-    f[1] = coverage;
-    // f2: nearest clue outside the span. In-run clues share the view
-    // sentence (no penalty); cross-run clues carry the +6 penalty and
-    // their distance decomposes into span-to-edge + edge-to-clue.
-    let mut nearest: Option<usize> = None;
-    let mut consider = |d: usize| match nearest {
-        Some(b) if b <= d => {}
-        _ => nearest = Some(d),
-    };
-    for &p in clues_rel {
-        let p = p as usize;
-        if p >= rs && p < re {
-            continue;
-        }
-        let d = if p < rs { rs - p } else { p + 1 - re };
-        consider(d);
-    }
-    if ctx.gb != NONE {
-        consider(rs + ctx.gb as usize + 6);
-    }
-    if ctx.ga != NONE {
-        consider((run.len() - re) + ctx.ga as usize + 6);
-    }
-    f[2] = match nearest {
+    let (s, e) = (t.slots[rs], t.slots[re]);
+    // Nearest clue / verb clue on each side: in-run from the tables,
+    // cross-run through the run edge.
+    let clue_before = dist_before(rs, s.prev_clue);
+    let clue_after = dist_after(re, e.next_clue);
+    let cross_before = dist_across(rs, ctx.gb);
+    let cross_after = dist_across(n - re, ctx.ga);
+    let within3 =
+        |a: Option<usize>, b: Option<usize>| a.is_some_and(|d| d <= 3) || b.is_some_and(|d| d <= 3);
+    // f2: in-run clues share the view sentence (no penalty); cross-run
+    // clues carry the +6 penalty.
+    let nearest = [
+        clue_before,
+        clue_after,
+        cross_before.map(|d| d + 6),
+        cross_after.map(|d| d + 6),
+    ]
+    .into_iter()
+    .flatten()
+    .min();
+    let (proper, nums) = (e.proper - s.proper, e.nums - s.nums);
+    let f = &mut t.feats;
+    f[0][lane] = 1.0;
+    f[1][lane] = coverage;
+    f[2][lane] = match nearest {
         Some(d) => 1.0 / (1.0 + d as f64),
         None => 0.0,
     };
     // f3: answer-type match.
-    let span_tok = |j: usize| &doc.tokens[run[j]];
-    let mut has_num = false;
-    let mut has_proper = false;
-    let mut has_noun = false;
-    for j in rs..re {
-        match span_tok(j).pos {
-            Pos::Num => has_num = true,
-            Pos::ProperNoun => {
-                has_proper = true;
-                has_noun = true;
-            }
-            Pos::Noun => has_noun = true,
-            _ => {}
-        }
-    }
-    f[3] = match q.wh {
-        crate::WhType::Person | crate::WhType::Place => {
-            if has_proper {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        crate::WhType::Number => {
-            if has_num {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        crate::WhType::Entity => {
-            if has_noun {
-                1.0
-            } else {
-                0.0
-            }
-        }
+    let has = |c: u32| if c > 0 { 1.0 } else { 0.0 };
+    f[3][lane] = match q.wh {
+        crate::WhType::Person | crate::WhType::Place => has(proper),
+        crate::WhType::Number => has(nums),
+        crate::WhType::Entity => has(e.nouns - s.nouns),
         crate::WhType::Unknown => 0.5,
     };
-    f[4] = (len as f64 - 2.0).abs() / 4.0;
+    f[4][lane] = (len as f64 - 2.0).abs() / 4.0;
     // f5: question overlap — the clue predicate restricted to the span.
-    let overlap = clues_rel
-        .iter()
-        .filter(|&&p| (p as usize) >= rs && (p as usize) < re)
-        .count();
-    f[5] = overlap as f64 / len as f64;
+    f[5][lane] = (e.clues - s.clues) as f64 / len as f64;
     // f6: mean IDF.
-    f[6] = (rs..re).map(|j| idf_val[run[j]]).sum::<f64>() / len as f64 / 10.0;
-    f[7] = (rs..re)
-        .filter(|&j| span_tok(j).pos == Pos::ProperNoun)
-        .count() as f64
-        / len as f64;
-    f[8] = (rs..re).filter(|&j| span_tok(j).pos == Pos::Num).count() as f64 / len as f64;
+    f[6][lane] = idf_sum / len as f64 / 10.0;
+    f[7][lane] = proper as f64 / len as f64;
+    f[8][lane] = nums as f64 / len as f64;
     // f9/f10: any clue within 3 tokens before/after the span (raw view
-    // distance, no sentence penalty) — the nearest clue decides
-    // existence-within-threshold.
-    let in_run_before = clues_rel
-        .iter()
-        .any(|&p| (p as usize) < rs && rs - (p as usize) <= 3);
-    let in_run_after = clues_rel
-        .iter()
-        .any(|&p| (p as usize) >= re && (p as usize) + 1 - re <= 3);
-    let cross_before = ctx.gb != NONE && rs + ctx.gb as usize <= 3;
-    let cross_after = ctx.ga != NONE && (run.len() - re) + ctx.ga as usize <= 3;
-    f[9] = (in_run_before || cross_before) as u8 as f64;
-    f[10] = (in_run_after || cross_after) as u8 as f64;
-    f[11] = (rs == 0) as u8 as f64;
+    // distance, no sentence penalty) — the nearest decides.
+    f[9][lane] = within3(clue_before, cross_before) as u8 as f64;
+    f[10][lane] = within3(clue_after, cross_after) as u8 as f64;
+    f[11][lane] = (rs == 0) as u8 as f64;
     // f12/f13: direction-aware verb-clue adjacency.
-    let verb_in_after = verb_clues_rel
-        .iter()
-        .any(|&p| (p as usize) >= re && (p as usize) + 1 - re <= 3);
-    let verb_in_before = verb_clues_rel
-        .iter()
-        .any(|&p| (p as usize) < rs && rs - (p as usize) <= 3);
-    let verb_cross_after = ctx.va != NONE && (run.len() - re) + ctx.va as usize <= 3;
-    let verb_cross_before = ctx.vb != NONE && rs + ctx.vb as usize <= 3;
-    let verb_clue_after = verb_in_after || verb_cross_after;
-    let verb_clue_before = verb_in_before || verb_cross_before;
-    f[12] = (q.wh_subject && verb_clue_after) as u8 as f64;
-    f[13] = (!q.wh_subject && verb_clue_before) as u8 as f64;
-    let score = fold_dot_f64(0.0, &f, &weights[..N_BASE]);
-    fold_dot_f64(score, &f, &weights[off..off + N_BASE])
+    let verb_after = within3(dist_after(re, e.next_verb), dist_across(n - re, ctx.va));
+    let verb_before = within3(dist_before(rs, s.prev_verb), dist_across(rs, ctx.vb));
+    f[12][lane] = (q.wh_subject && verb_after) as u8 as f64;
+    f[13][lane] = (!q.wh_subject && verb_before) as u8 as f64;
 }
 
 #[cfg(test)]
@@ -803,6 +876,116 @@ mod tests {
             selections.push(sel);
         }
         assert_bitwise_equal(&qa, &q, &doc, question, &selections);
+    }
+
+    /// Selections of one, two or three neighbouring sentences: every
+    /// window inside one sentence, every window of one joined to every
+    /// window of the next, and every suffix of one joined to every
+    /// prefix of the one after next with the middle sentence whole. Runs
+    /// then start and end at every offset, so clues sit at run edges and
+    /// cross-run distances take every small value.
+    fn edge_selections(doc: &Document) -> Vec<Vec<usize>> {
+        let sents: Vec<std::ops::Range<usize>> = doc
+            .sentences
+            .iter()
+            .map(|s| s.token_start..s.token_end)
+            .collect();
+        let mut out = Vec::new();
+        for s in &sents {
+            for a in s.clone() {
+                for b in a + 1..=s.end {
+                    out.push((a..b).collect());
+                }
+            }
+        }
+        for w in sents.windows(2) {
+            for a in w[0].clone() {
+                for b in a + 1..=w[0].end {
+                    for c in w[1].clone() {
+                        for d in c + 1..=w[1].end {
+                            out.push((a..b).chain(c..d).collect());
+                        }
+                    }
+                }
+            }
+        }
+        for w in sents.windows(3) {
+            for a in w[0].clone() {
+                for b in w[2].start + 1..=w[2].end {
+                    out.push(
+                        (a..w[0].end)
+                            .chain(w[1].clone())
+                            .chain(w[2].start..b)
+                            .collect(),
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn span_features_match_plain_at_run_edges_and_cross_run_distances() {
+        let qa = trained(gced_datasets::DatasetKind::Squad11, 11);
+        // Adjacent clues, clues and verb clues at both ends of a
+        // sentence, a sentence shorter than MAX_SPAN, and numbers and
+        // proper nouns for the answer-type features.
+        let doc = analyze(
+            "Panthers Panthers defeated the team. The Denver Broncos defeated the Carolina \
+             Panthers in Santa Clara by 24 points. Team defeated. Later that cold night the \
+             Broncos defeated them in the final. Fans cheered the team loudly in 2016.",
+        );
+        assert!(doc.sentences[2].token_end - doc.sentences[2].token_start < MAX_SPAN);
+        let selections = edge_selections(&doc);
+        for (k, question) in [
+            "Which team defeated the Panthers?",
+            "Who did the Broncos defeat in the final?",
+            "How many points did the team score?",
+            "Where did the fans cheer?",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let q = QuestionAnalysis::new(question);
+            let mut memo = SelectionScoreCache::new();
+            let mut fresh = SelectionScoreCache::new();
+            let mut scratch = SelectionScratch::default();
+            let mut seen: [std::collections::BTreeSet<u32>; 4] = Default::default();
+            for sel in &selections {
+                let plain = qa.predict_selection(&q, &doc, sel, question, &mut scratch);
+                let cached = qa.predict_selection_cached(&q, &doc, sel, question, &mut memo);
+                assert_eq!(plain.span, cached.span, "{question:?} {sel:?}");
+                assert_eq!(
+                    plain.score.to_bits(),
+                    cached.score.to_bits(),
+                    "{question:?} {sel:?}"
+                );
+                assert_eq!(plain.text, cached.text);
+                let span = qa.predict_selection_span_fresh(&q, &doc, sel, question, &mut fresh);
+                assert_eq!(plain.span, span, "fresh {question:?} {sel:?}");
+                for c in &fresh.ctxs {
+                    for (set, d) in seen.iter_mut().zip([c.gb, c.ga, c.vb, c.va]) {
+                        set.insert(d);
+                    }
+                }
+            }
+            assert_eq!(
+                fresh.run_hits + fresh.run_misses,
+                0,
+                "the fresh path memoized"
+            );
+            // Distances 1, 3 and 4 straddle the ≤ 3 threshold of f9,
+            // f10, f12 and f13 on both sides, for clues and verb clues,
+            // under a subject and an object question.
+            if k >= 2 {
+                continue;
+            }
+            for (side, set) in ["gb", "ga", "vb", "va"].iter().zip(&seen) {
+                for d in [1, 3, 4] {
+                    assert!(set.contains(&d), "{question:?}: {side} never {d}");
+                }
+            }
+        }
     }
 
     #[test]
